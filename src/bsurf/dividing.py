@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,6 @@ class DividingSet:
         return tuple(sorted(tuple(sorted(a)) for a in self.arcs))
 
 
-def make_dividing_set(face: FaceModel, arcs: Iterable[Sequence[int]]) -> DividingSet:
-    return DividingSet(face=face, arcs=tuple(tuple(a) for a in arcs))
-
-
 # ---------------------------------------------------------------------------
 # Twisting numbers
 
@@ -137,10 +133,7 @@ def tb_triangulation(faces: Sequence[DividingSet]) -> int:
             raise InvalidFaceCertificate(
                 f"face {d.face.face}: tb(boundary) = {t} > -1")
         total += -t
-    assert total == int(total)
-    total = int(total)
-    assert total >= len(faces)
-    return total
+    return int(total)
 
 
 # ---------------------------------------------------------------------------

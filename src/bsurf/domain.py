@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .surface import BranchedSurface, Sector, ValidationReport, Violation, validate
+from .surface import (BranchedSurface, Sector, ValidationReport, Violation, switch_violation,
+                      validate)
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,11 @@ def check_adjacency(base: AdjustedStructure, other: AdjustedStructure) -> None:
     """Angle differences must satisfy the switch relations across every arc."""
     b = base.domain.quotient
     diff = [o - a for o, a in zip(other.angle.values, base.angle.values)]
-    for arc in b.branch_arcs:
-        lhs = diff[arc.merged_sector]
-        rhs = diff[arc.upper_sector] + diff[arc.lower_sector]
-        if lhs != rhs:
-            raise ValueError(
-                f"adjacency violated at arc {arc.index}: merged offset {lhs} != {rhs}")
+    arc = switch_violation(b, diff)
+    if arc is not None:
+        raise ValueError(
+            f"adjacency violated at arc {arc.index}: merged offset {diff[arc.merged_sector]} "
+            f"!= {diff[arc.upper_sector] + diff[arc.lower_sector]}")
 
 
 def weight_of(x: AdjustedStructure, base: AdjustedStructure) -> tuple[int, ...]:
@@ -160,11 +160,6 @@ def weight_of(x: AdjustedStructure, base: AdjustedStructure) -> tuple[int, ...]:
                 "number of full turns; the structures are not adjusted to the same base")
         weights.append(int(w))
     check_adjacency(base, x)
-    b = base.domain.quotient
-    for arc in b.branch_arcs:
-        assert weights[arc.merged_sector] == weights[arc.upper_sector] + weights[arc.lower_sector]
-    for i, w in enumerate(weights):
-        assert 2 * w > -base.angle[i]
     return tuple(weights)
 
 
@@ -175,9 +170,9 @@ def structure_from_weight(base: AdjustedStructure, w: Sequence[int],
     w = tuple(int(x) for x in w)
     if len(w) != len(b.sectors):
         raise ValueError("weight length must match the sector count")
-    for arc in b.branch_arcs:
-        if w[arc.merged_sector] != w[arc.upper_sector] + w[arc.lower_sector]:
-            raise ValueError(f"weight violates the switch equation at arc {arc.index}")
+    arc = switch_violation(b, w)
+    if arc is not None:
+        raise ValueError(f"weight violates the switch equation at arc {arc.index}")
     values = []
     for i, (a0, wi) in enumerate(zip(base.angle.values, w)):
         v = a0 + 2 * wi

@@ -10,9 +10,8 @@ independent brute-force enumerator doubles as the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,7 @@ def minimal_generators(s: ConeSystem) -> MinimalGenerators:
     solutions and pruning anything dominating a known solution.
     """
     d = s.dimension
-    rows = [list(r) for r in s.relations]
-    cols = [tuple(row[i] for row in rows) for i in range(d)]
-
-    def residual(x):
-        return tuple(sum(c * v for c, v in zip(row, x)) for row in rows)
+    cols = [tuple(row[i] for row in s.relations) for i in range(d)]
 
     sols: list[tuple[int, ...]] = []
     frontier = []
@@ -96,7 +91,7 @@ def minimal_generators(s: ConeSystem) -> MinimalGenerators:
         for t in frontier:
             if any(_dominates(t, m) and t != m for m in sols):
                 continue
-            v = residual(t)
+            v = s.residual(t)
             if all(x == 0 for x in v):
                 sols.append(t)
                 continue
@@ -116,27 +111,53 @@ def minimal_generators(s: ConeSystem) -> MinimalGenerators:
 
 
 DEFAULT_BUDGET = 20_000_000
-_CHUNK = 1 << 19
 
 
 def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
-    """Nonzero solutions with max entry <= bound, streamed in chunks."""
+    """Nonzero solutions with max entry <= bound, in lexicographic order.
+
+    Walks {0..bound}^d with the last coordinate fastest.  Each relation
+    is settled at the last coordinate it involves: the coordinates before
+    it fix its partial sum, which leaves at most one value there.  The
+    walk keeps an explicit stack, so no recursion grows with d.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     d = s.dimension
     total = (bound + 1) ** d
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: {bound + 1}^{d} = {total} > {budget}")
-    dims = (bound + 1,) * d
-    A = np.array(s.relations, dtype=np.int64) if s.relations else None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        pts = np.stack(np.unravel_index(idx, dims), axis=1)
-        if A is not None:
-            pts = pts[np.all(A @ pts.T == 0, axis=0)]
-        pts = pts[np.any(pts != 0, axis=1)]
-        for p in pts:
-            yield tuple(int(x) for x in p)
+    due: list[list[tuple[int, ...]]] = [[] for _ in range(d)]   # by last nonzero column
+    for row in s.relations:
+        if any(row):
+            due[max(i for i, c in enumerate(row) if c)].append(row)
+    values = range(bound + 1)
+    x = [0] * d
+
+    def choices(j):
+        """Values of x[j] meeting every relation due at j, given x[:j]."""
+        if not due[j]:
+            return values
+        first, *rest = due[j]
+        x[j] = 0
+        v, r = divmod(-sum(map(mul, first, x)), first[j])
+        x[j] = v
+        if r or not 0 <= v <= bound or any(sum(map(mul, row, x)) for row in rest):
+            return ()
+        return (v,)
+
+    stack = [iter(choices(0))]
+    while stack:
+        j = len(stack) - 1
+        if j == d - 1:
+            for x[j] in stack.pop():
+                if any(x):
+                    yield tuple(x)
+        elif (v := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            x[j] = v
+            stack.append(iter(choices(j + 1)))
 
 
 def brute_force_minimals(s: ConeSystem, bound: int,
@@ -167,26 +188,26 @@ class NotGeneratedError(ValueError):
 
 
 def decompose(w: Sequence[int], g: MinimalGenerators) -> Decomposition:
-    """Greedy repeated subtraction, lexicographically first subtractable.
+    """Greedy subtraction: as many copies of each generator as fit, in basis order.
 
-    Always succeeds when g is the complete basis of its system; fails
-    with NotGeneratedError only on user-truncated bases.
+    Subtracting never makes an earlier generator fit again, so this is
+    repeated subtraction of the first generator that fits.  Always
+    succeeds when g is the complete basis of its system; fails with
+    NotGeneratedError only on user-truncated bases.
     """
     w = tuple(int(x) for x in w)
     if not membership(w, g.system):
         raise ValueError("vector is not an admissible element of the cone")
     if all(x == 0 for x in w):
         raise ValueError("decompose expects a nonzero vector")
-    counts = [0] * len(g.basis)
+    counts = []
     rem = list(w)
-    while any(rem):
-        for i, u in enumerate(g.basis):
-            if all(r >= x for r, x in zip(rem, u)):
-                counts[i] += 1
-                rem = [r - x for r, x in zip(rem, u)]
-                break
-        else:
-            raise NotGeneratedError(f"remainder {tuple(rem)} not generated by the basis")
+    for u in g.basis:
+        n = min((r // x for r, x in zip(rem, u) if x), default=0)
+        counts.append(n)
+        rem = [r - n * x for r, x in zip(rem, u)]
+    if any(rem):
+        raise NotGeneratedError(f"remainder {tuple(rem)} not generated by the basis")
     return Decomposition(coefficients=tuple(counts), generators=g)
 
 

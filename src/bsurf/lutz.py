@@ -84,26 +84,30 @@ def _exact_cover(delta: tuple[int, ...],
                  atoms: Sequence[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
     """Nonnegative integer combination of atoms equal to delta, or None.
 
-    Greedy first (lexicographically first subtractable atom), bounded
-    backtracking if the greedy path dead-ends.
+    Depth-first over the atoms in sorted order, one level per atom; each
+    level tries its count from the most that fits down to zero.  The first
+    count vector tried is the greedy path (always the first atom that
+    fits), and the first hit is the lexicographically greatest solution.
     """
     order = sorted(range(len(atoms)), key=lambda i: atoms[i])
-
-    def search(rem: tuple[int, ...], start: int, counts: list[int]):
-        if all(x == 0 for x in rem):
-            return tuple(counts)
-        for pos in range(start, len(order)):
-            i = order[pos]
-            a = atoms[i]
-            if all(r >= x for r, x in zip(rem, a)) and any(x > 0 for x in a):
-                counts[i] += 1
-                hit = search(tuple(r - x for r, x in zip(rem, a)), pos, counts)
-                if hit is not None:
-                    return hit
-                counts[i] -= 1
-        return None
-
-    return search(delta, 0, [0] * len(atoms))
+    n = len(order)
+    counts = [0] * n
+    rems = [tuple(delta)] + [()] * n      # rems[k]: what levels k.. must cover
+    k = 0
+    while True:
+        if k < n:
+            counts[k] = min((r // x for r, x in zip(rems[k], atoms[order[k]]) if x), default=0)
+        elif not any(rems[n]):
+            return tuple(c for _, c in sorted(zip(order, counts)))
+        else:
+            k = n - 1
+            while k >= 0 and counts[k] == 0:
+                k -= 1
+            if k < 0:
+                return None
+            counts[k] -= 1
+        rems[k + 1] = tuple(r - counts[k] * x for r, x in zip(rems[k], atoms[order[k]]))
+        k += 1
 
 
 def plan_for(target: Sequence[int], base: Sequence[int],

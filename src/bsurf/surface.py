@@ -15,10 +15,9 @@ sector ``i``, glued stack-to-stack along branch arcs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 class Side(str, Enum):
@@ -216,36 +215,6 @@ def validate(b: BranchedSurface) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def incidence_components(b: BranchedSurface) -> tuple[frozenset, ...]:
-    """Connected components of the sector/arc incidence graph.
-
-    Components are implicit in the data; each one is connected by
-    construction, so validation has nothing to enforce here.
-    """
-    adj: dict[int, set[int]] = {s.index: set() for s in b.sectors}
-    for arc in b.branch_arcs:
-        trio = {arc.merged_sector, arc.upper_sector, arc.lower_sector}
-        for u, v in itertools.combinations(sorted(trio), 2):
-            adj[u].add(v)
-            adj[v].add(u)
-    out = []
-    seen: set[int] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(frozenset(comp))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Switch system
 
@@ -272,15 +241,24 @@ def switch_system(b: BranchedSurface):
     return ConeSystem(dimension=len(b.sectors), relations=tuple(rows), provenance=b)
 
 
+def switch_violation(b: BranchedSurface, x: Sequence) -> Optional[BranchArc]:
+    """First branch arc whose merged entry of x is not the sum of its two
+    merging entries, or None when x meets every switch equation.
+
+    x holds one number per sector: integer weights or Fraction angle offsets.
+    """
+    for arc in b.branch_arcs:
+        if x[arc.merged_sector] != x[arc.upper_sector] + x[arc.lower_sector]:
+            return arc
+    return None
+
+
 def satisfies_switch(b: BranchedSurface, weights: Sequence[int]) -> bool:
     if len(weights) != len(b.sectors):
         return False
     if any(w < 0 for w in weights):
         return False
-    for arc in b.branch_arcs:
-        if weights[arc.merged_sector] != weights[arc.upper_sector] + weights[arc.lower_sector]:
-            return False
-    return True
+    return switch_violation(b, weights) is None
 
 
 def fully_carried(b: BranchedSurface, weights: Sequence[int]) -> bool:
@@ -500,9 +478,7 @@ def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
     if not (carried.connected
             and carried.components[0].classification is Classification.KLEIN_BOTTLE):
         raise ValueError("input weight does not carry a Klein bottle component")
-    doubled = tuple(2 * w for w in w_klein)
-    assert satisfies_switch(b, doubled)
-    return doubled
+    return tuple(2 * w for w in w_klein)
 
 
 def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:

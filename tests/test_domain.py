@@ -98,7 +98,7 @@ def test_half_turn_difference_rejected():
 def test_weight_violating_switch_rejected():
     fd = fixtures.theta_domain()
     base = fixtures.base_structure(fd)
-    with pytest.raises(ValueError, match="switch"):
+    with pytest.raises(ValueError, match="^weight violates the switch equation at arc 0$"):
         structure_from_weight(base, (1, 1, 1))
 
 
@@ -117,7 +117,8 @@ def test_adjacency_coherence_checked():
     bad = AdjustedStructure(domain=fd,
                             angle=make_angles([base.angle[0] + 2,
                                                base.angle[1], base.angle[2]]))
-    with pytest.raises(ValueError, match="adjacency"):
+    with pytest.raises(ValueError,
+                       match="^adjacency violated at arc 0: merged offset 0 != 2$"):
         weight_of(bad, base)
 
 

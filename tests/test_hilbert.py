@@ -1,9 +1,15 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsurf
 from bsurf.hilbert import (ConeSystem, NotGeneratedError, brute_force_minimals,
                            decompose, membership, minimal_generators, solutions_up_to)
 
@@ -91,6 +97,34 @@ def test_oracle_unit_vectors():
 def test_oracle_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         brute_force_minimals(ConeSystem(dimension=8), 30)
+
+
+@pytest.mark.parametrize("d", [70, 5000])
+def test_oracle_bound_zero_in_high_dimension(d):
+    assert brute_force_minimals(ConeSystem(dimension=d), 0) == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_solutions_up_to_matches_plain_product_filter(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 6)
+    rows = tuple(tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(d))
+                 for _ in range(rng.randint(0, 3)))
+    s = ConeSystem(dimension=d, relations=rows)
+    bound = rng.randint(0, 3)
+    expected = tuple(x for x in itertools.product(range(bound + 1), repeat=d)
+                     if any(x) and s.holds(x))
+    assert solutions_up_to(s, bound) == expected
+
+
+def test_import_needs_no_numpy():
+    code = "import sys, bsurf, bsurf.cli; print('numpy' in sys.modules)"
+    src = str(Path(bsurf.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_plan_for_examples():
         plan_for((0, 1, 1), (1, 0, 1), infos)
 
 
+def test_plan_for_large_target_does_not_recurse_per_unit():
+    b, infos = theta_generators()
+    plan = plan_for((10 ** 4, 10 ** 4, 2 * 10 ** 4), (0, 0, 0), infos)
+    assert plan.coefficients == (10 ** 4, 10 ** 4)
+
+
 def test_plan_for_odd_klein_multiple_requires_rebase():
     b, infos = theta_generators(twist=True)
     with pytest.raises(RebaseRequired):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, Classification, CycleRef,
                            Sector, Side, TriplePoint, carried_surface, fully_carried,
-                           klein_double, satisfies_switch, switch_system, validate)
+                           klein_double, satisfies_switch, switch_system, switch_violation,
+                           validate)
 
 
 def combine(basis, coeffs):
@@ -242,6 +244,21 @@ def test_linearity_closure(a, b_, c, d):
     v = combine(basis, (c, d))
     w = tuple(2 * x + 3 * y for x, y in zip(u, v))
     assert satisfies_switch(surf, w)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6))
+def test_switch_violation_agrees_with_switch_system(seed):
+    rng = random.Random(seed)
+    surf = fixtures.random_branched_surface(rng)
+    system = switch_system(surf)
+    for _ in range(20):
+        x = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in surf.sectors]
+        if rng.random() < 0.5:
+            x = [int(2 * v) for v in x]
+        first_bad = next((arc for arc, r in zip(surf.branch_arcs, system.residual(x)) if r),
+                         None)
+        assert switch_violation(surf, x) is first_bad
 
 
 @settings(max_examples=60)

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 
@@ -39,11 +40,26 @@ class FaceModel:
     def slots(self) -> tuple[int, ...]:
         return tuple(s for edge in self.edge_slots for s in edge)
 
-    def edge_of(self, slot: int) -> int:
+    @cached_property
+    def _slot_index(self) -> dict[int, tuple[int, int, int]]:
+        """slot -> (edge, offset on the edge, position in boundary_items())."""
+        index = {}
+        start = 0
         for e, edge in enumerate(self.edge_slots):
-            if slot in edge:
-                return e
-        raise KeyError(f"slot {slot} not on face {self.face}")
+            for i, s in enumerate(edge):
+                index[s] = (e, i, start + i)
+            start += len(edge) + 1
+        return index
+
+    def locate(self, slot: int) -> tuple[int, int, int]:
+        """The edge of a slot, its offset on that edge and its boundary position."""
+        try:
+            return self._slot_index[slot]
+        except KeyError:
+            raise KeyError(f"slot {slot} not on face {self.face}") from None
+
+    def edge_of(self, slot: int) -> int:
+        return self.locate(slot)[0]
 
     def boundary_items(self) -> tuple[tuple[str, int], ...]:
         """Cyclic order around the hexagon: slots of edge k, then corner k."""
@@ -54,7 +70,7 @@ class FaceModel:
         return tuple(items)
 
     def positions(self) -> dict[int, int]:
-        return {it[1]: i for i, it in enumerate(self.boundary_items()) if it[0] == "slot"}
+        return {s: p for s, (_, _, p) in self._slot_index.items()}
 
 
 def _between(a: int, b: int, x: int) -> bool:
@@ -78,6 +94,19 @@ class DividingSet:
         slots = self.face.slots
         if sorted(used) != sorted(slots):
             raise ValueError(f"face {self.face.face}: every slot must be used by exactly one arc")
+        # A matching is planar iff its arcs nest like brackets along the
+        # boundary.  Both slots of an arc map to the same stored tuple.
+        arc_at = self._arc_index
+        open_arcs = []
+        for s in slots:
+            arc = arc_at[s]
+            if open_arcs and open_arcs[-1] is arc:
+                open_arcs.pop()
+            else:
+                open_arcs.append(arc)
+        if not open_arcs:
+            return
+        # Name the first crossing pair in arc order.
         pos = self.face.positions()
         for (a, b), (c, d) in itertools.combinations(self.arcs, 2):
             pa, pb = pos[a], pos[b]
@@ -87,11 +116,15 @@ class DividingSet:
                 raise ValueError(
                     f"non-planar dividing set: arcs {(a, b)} and {(c, d)} cross")
 
+    @cached_property
+    def _arc_index(self) -> dict[int, tuple[int, int]]:
+        return {s: arc for arc in self.arcs for s in arc}
+
     def arc_of(self, slot: int) -> tuple[int, int]:
-        for arc in self.arcs:
-            if slot in arc:
-                return arc
-        raise KeyError(f"slot {slot} is not matched")
+        try:
+            return self._arc_index[slot]
+        except KeyError:
+            raise KeyError(f"slot {slot} is not matched") from None
 
     def normal_form(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(tuple(sorted(a)) for a in self.arcs))
@@ -158,17 +191,10 @@ def boundary_parallel_arcs(d: DividingSet) -> tuple[BoundaryParallelArc, ...]:
     out = []
     single = len(d.arcs) == 1
     for arc in d.arcs:
-        a, b = arc
-        try:
-            e = f.edge_of(a)
-        except KeyError:
-            continue
-        if f.edge_of(b) != e:
-            continue
-        slots = f.edge_slots[e]
-        ia, ib = slots.index(a), slots.index(b)
-        if abs(ia - ib) == 1:
-            out.append(BoundaryParallelArc(arc=arc, edge=e, usable=not single))
+        ea, ia, _ = f.locate(arc[0])
+        eb, ib, _ = f.locate(arc[1])
+        if ea == eb and abs(ia - ib) == 1:
+            out.append(BoundaryParallelArc(arc=arc, edge=ea, usable=not single))
     return tuple(out)
 
 
@@ -333,51 +359,52 @@ def _region_split(d: DividingSet):
     and, between consecutive attachments, the tuple of corner ids.
     Slots never appear inside a final region since each one anchors a
     chord.
+
+    A region is a cyclic linked list of boundary positions read from its
+    head.  It is cut at the first slot after the head and at that slot's
+    partner, which become chords: the partner closes the inside (the run
+    between the two) and the first slot closes the outside, each as the
+    last node of its region.  The inside is finished before the outside.
     """
     f = d.face
     items = f.boundary_items()
     n = len(items)
-    pos = f.positions()
+    nxt = [(p + 1) % n for p in range(n)]
+    partner: list = [None] * n        # the other end of a slot not yet cut
+    chord: list = [None] * n          # the arc of a cut slot
+    for a, b in d.arcs:
+        pa, pb = f.locate(a)[2], f.locate(b)[2]
+        partner[pa], partner[pb] = pb, pa
 
-    def split(circle: tuple, out: list):
-        # circle elements: ("pos", p) boundary items or ("chord", arc)
-        inner = None
-        for i, el in enumerate(circle):
-            if el[0] == "pos" and items[el[1]][0] == "slot":
-                arc = d.arc_of(items[el[1]][1])
-                q = pos[arc[0]] if pos[arc[1]] == el[1] else pos[arc[1]]
-                j = circle.index(("pos", q))
-                inner = (i, j, arc)
-                break
-        if inner is None:
-            chords = tuple(el[1] for el in circle if el[0] == "chord")
-            intervals = []
-            if chords:
-                starts = [i for i, el in enumerate(circle) if el[0] == "chord"]
-                rot = circle[starts[0] + 1:] + circle[:starts[0] + 1]
-                run: list = []
-                for el in rot:
-                    if el[0] == "chord":
-                        intervals.append(tuple(items[p][1] for (_, p) in run
-                                               if items[p][0] == "corner"))
-                        run = []
-                    else:
-                        run.append(el)
+    out = []
+    heads = [0]
+    while heads:
+        head = i = heads.pop()
+        while partner[i] is None and nxt[i] != head:
+            i = nxt[i]
+        if partner[i] is not None:
+            j = partner[i]
+            inside, outside = nxt[i], nxt[j]
+            nxt[j], nxt[i] = inside, outside
+            chord[i] = chord[j] = d.arc_of(items[i][1])
+            partner[i] = partner[j] = None
+            heads += (outside, inside)
+            continue
+        region = [head]
+        while nxt[region[-1]] != head:
+            region.append(nxt[region[-1]])
+        cuts = [k for k, x in enumerate(region) if chord[x] is not None]
+        if not cuts:
+            out.append(((), (tuple(items[x][1] for x in region),)))
+            continue
+        intervals, run = [], []
+        for x in region[cuts[0] + 1:] + region[:cuts[0] + 1]:
+            if chord[x] is None:
+                run.append(items[x][1])
             else:
-                intervals.append(tuple(items[el[1]][1] for el in circle
-                                       if el[0] == "pos" and items[el[1]][0] == "corner"))
-            out.append((chords, tuple(intervals)))
-            return
-        i, j, arc = inner
-        lo, hi = min(i, j), max(i, j)
-        side1 = circle[lo + 1:hi] + (("chord", arc),)
-        side2 = circle[hi + 1:] + circle[:lo] + (("chord", arc),)
-        split(side1, out)
-        split(side2, out)
-
-    circle = tuple(("pos", p) for p in range(n))
-    out: list = []
-    split(circle, out)
+                intervals.append(tuple(run))
+                run = []
+        out.append((tuple(chord[region[k]] for k in cuts), tuple(intervals)))
     return out
 
 

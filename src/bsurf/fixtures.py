@@ -316,15 +316,16 @@ def random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
         slot += size
     fm = FaceModel(face=face, edge_slots=tuple(edge_slots))
 
-    # random non-crossing matching of 0..total-1 in circular order
-    def match(seq):
-        if not seq:
-            return []
-        first = seq[0]
-        k = rng.randrange(0, len(seq) // 2) * 2 + 1
-        partner = seq[k]
-        return ([(first, partner)]
-                + match(seq[1:k]) + match(seq[k + 1:]))
-
-    arcs = match(list(range(total)))
-    return DividingSet(face=fm, arcs=tuple(tuple(a) for a in arcs))
+    # random non-crossing matching of 0..total-1 in circular order: match
+    # the first slot of a run, then the run inside that arc, then the rest
+    arcs = []
+    runs = [(0, total)]               # half-open slot ranges still to match
+    while runs:
+        lo, hi = runs.pop()
+        if lo == hi:
+            continue
+        partner = lo + rng.randrange(0, (hi - lo) // 2) * 2 + 1
+        arcs.append((lo, partner))
+        runs.append((partner + 1, hi))
+        runs.append((lo + 1, partner))
+    return DividingSet(face=fm, arcs=tuple(arcs))

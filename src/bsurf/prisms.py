@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dividing import (DividingSet, FaceModel, PieceKind, classify_pieces,
+from .dividing import (DividingSet, FaceModel, PieceKind, PieceReport, classify_pieces,
                        tb_triangulation)
 
 
@@ -210,9 +210,8 @@ def validate_configuration(config: PrismConfiguration,
     return problems
 
 
-def _stack_between(d: DividingSet, bottom, top):
+def _stack_between(report: PieceReport, bottom, top):
     """Pieces between two arcs of one stack, or None with a reason."""
-    report = classify_pieces(d)
     b, t = tuple(sorted(bottom)), tuple(sorted(top))
     for pair, chain in report.stacks.items():
         hits = [i for i, piece in enumerate(chain)
@@ -226,6 +225,7 @@ def _stack_between(d: DividingSet, bottom, top):
 def admissible(config: PrismConfiguration,
                dividing: dict[str, DividingSet]) -> AdmissibilityReport:
     """Every vertical prism face must be a union of ordinary pieces off the corners."""
+    reports: dict[str, PieceReport] = {}
     for tet, prism in config.all_prisms():
         for vf in prism.vertical_faces:
             if vf.face not in dividing:
@@ -236,9 +236,11 @@ def admissible(config: PrismConfiguration,
                 if tuple(sorted(arc)) not in known:
                     return AdmissibilityReport(
                         False, f"face {vf.face}: arc {arc} is not a dividing component")
-            pieces, why = _stack_between(d, vf.bottom, vf.top)
+            report = reports.get(vf.face)
+            if report is None:
+                report = reports[vf.face] = classify_pieces(d)
+            pieces, why = _stack_between(report, vf.bottom, vf.top)
             if pieces is None:
-                report = classify_pieces(d)
                 touching = [p for p in report.pieces
                             if tuple(sorted(vf.bottom)) in {tuple(sorted(c)) for c in p.chords}
                             or tuple(sorted(vf.top)) in {tuple(sorted(c)) for c in p.chords}]
@@ -259,8 +261,8 @@ def _interval_span(d: DividingSet, vf: VerticalFace):
     spans = {}
     for arc in (vf.bottom, vf.top):
         for s in arc:
-            e = f.edge_of(s)
-            spans.setdefault(e, []).append(f.edge_slots[e].index(s))
+            e, i, _ = f.locate(s)
+            spans.setdefault(e, []).append(i)
     return {e: (min(v), max(v)) for e, v in spans.items()}
 
 
@@ -335,19 +337,19 @@ class CoverageReport:
 
 def coverage_report(config: PrismConfiguration, dividing: dict[str, DividingSet],
                     max_outside: int = 64, min_pieces_per_face: int = 20) -> CoverageReport:
+    reports = {fid: classify_pieces(d) for fid, d in dividing.items()}
     covered: dict[str, set] = {}
     thin = []
     for tet, prism in config.all_prisms():
         for vf in prism.vertical_faces:
-            pieces, _ = _stack_between(dividing[vf.face], vf.bottom, vf.top)
+            pieces, _ = _stack_between(reports[vf.face], vf.bottom, vf.top)
             if pieces is None:
                 pieces = []
             covered.setdefault(vf.face, set()).update(p.index for p in pieces)
             if len(pieces) < min_pieces_per_face:
                 thin.append((vf.face, len(pieces)))
     outside = 0
-    for fid, d in dividing.items():
-        report = classify_pieces(d)
+    for fid, report in reports.items():
         outside += report.total - len(covered.get(fid, ()))
     return CoverageReport(outside_pieces=outside, thin_faces=tuple(thin),
                           max_outside=max_outside,

@@ -306,9 +306,19 @@ class _UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        if p == x:
+            return x
+        q = parent[p]
+        if q == p:                    # x hangs directly under its root
+            return p
+        path = [x]
+        while q != p:
+            path.append(p)
+            p, q = q, parent[q]
+        for y in path:
+            parent[y] = p
         return p
 
     def union(self, x, y):

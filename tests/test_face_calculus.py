@@ -1,0 +1,305 @@
+"""The linear face calculus against slow, obviously correct oracles.
+
+The oracles are quadratic and plainly correct: a recursive region split
+that slices tuples, the pairwise crossing check, and lookups by linear
+scan.  They share no index with the library code.
+"""
+
+import itertools
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bsurf import dividing, fixtures, prisms
+from bsurf.dividing import (DividingSet, FaceModel, boundary_parallel_arcs,
+                            classify_pieces, extremal_components)
+from bsurf.prisms import (Prism, PrismConfiguration, PrismSelection, VerticalFace,
+                          admissible, coverage_report)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def oracle_positions(f: FaceModel) -> dict:
+    return {it[1]: i for i, it in enumerate(f.boundary_items()) if it[0] == "slot"}
+
+
+def oracle_arc_of(d: DividingSet, slot):
+    for arc in d.arcs:
+        if slot in arc:
+            return arc
+    raise KeyError(f"slot {slot} is not matched")
+
+
+def oracle_crossing_message(f: FaceModel, arcs):
+    """The message DividingSet raises for these arcs, or None if it accepts."""
+    used = []
+    for a in arcs:
+        if len(a) != 2 or a[0] == a[1]:
+            return f"malformed arc {a}"
+        used.extend(a)
+    if sorted(used) != sorted(f.slots):
+        return f"face {f.face}: every slot must be used by exactly one arc"
+    pos = oracle_positions(f)
+    for (a, b), (c, d) in itertools.combinations(arcs, 2):
+        pa, pb = pos[a], pos[b]
+        if dividing._between(pa, pb, pos[c]) != dividing._between(pa, pb, pos[d]):
+            return f"non-planar dividing set: arcs {(a, b)} and {(c, d)} cross"
+    return None
+
+
+def oracle_region_split(d: DividingSet):
+    f = d.face
+    items = f.boundary_items()
+    n = len(items)
+    pos = oracle_positions(f)
+
+    def split(circle: tuple, out: list):
+        inner = None
+        for i, el in enumerate(circle):
+            if el[0] == "pos" and items[el[1]][0] == "slot":
+                arc = oracle_arc_of(d, items[el[1]][1])
+                q = pos[arc[0]] if pos[arc[1]] == el[1] else pos[arc[1]]
+                j = circle.index(("pos", q))
+                inner = (i, j, arc)
+                break
+        if inner is None:
+            chords = tuple(el[1] for el in circle if el[0] == "chord")
+            intervals = []
+            if chords:
+                starts = [i for i, el in enumerate(circle) if el[0] == "chord"]
+                rot = circle[starts[0] + 1:] + circle[:starts[0] + 1]
+                run: list = []
+                for el in rot:
+                    if el[0] == "chord":
+                        intervals.append(tuple(items[p][1] for (_, p) in run
+                                               if items[p][0] == "corner"))
+                        run = []
+                    else:
+                        run.append(el)
+            else:
+                intervals.append(tuple(items[el[1]][1] for el in circle
+                                       if el[0] == "pos" and items[el[1]][0] == "corner"))
+            out.append((chords, tuple(intervals)))
+            return
+        i, j, arc = inner
+        lo, hi = min(i, j), max(i, j)
+        split(circle[lo + 1:hi] + (("chord", arc),), out)
+        split(circle[hi + 1:] + circle[:lo] + (("chord", arc),), out)
+
+    out: list = []
+    split(tuple(("pos", p) for p in range(n)), out)
+    return out
+
+
+def oracle_random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
+                                   face: str = "R") -> DividingSet:
+    """The draw random_noncrossing_face must reproduce, written recursively."""
+    n_arcs = rng.randrange(1, max_arcs + 1)
+    total = 2 * n_arcs
+    cuts = sorted(rng.sample(range(total + 1), 2))
+    sizes = [cuts[0], cuts[1] - cuts[0], total - cuts[1]]
+    slot = 0
+    edge_slots = []
+    for size in sizes:
+        edge_slots.append(tuple(range(slot, slot + size)))
+        slot += size
+    fm = FaceModel(face=face, edge_slots=tuple(edge_slots))
+
+    def match(seq):
+        if not seq:
+            return []
+        first = seq[0]
+        k = rng.randrange(0, len(seq) // 2) * 2 + 1
+        partner = seq[k]
+        return [(first, partner)] + match(seq[1:k]) + match(seq[k + 1:])
+
+    arcs = match(list(range(total)))
+    return DividingSet(face=fm, arcs=tuple(tuple(a) for a in arcs))
+
+
+# ---------------------------------------------------------------------------
+# random faces: shuffled slot labels, empty edges, arcs in any order and
+# orientation
+
+
+def _random_face(rng: random.Random, max_arcs: int):
+    n = rng.randrange(0, max_arcs + 1)
+    labels = rng.sample(range(10 * n + 10), 2 * n)
+    cuts = sorted(rng.randrange(2 * n + 1) for _ in range(2))
+    return FaceModel(face="X", edge_slots=(tuple(labels[:cuts[0]]),
+                                           tuple(labels[cuts[0]:cuts[1]]),
+                                           tuple(labels[cuts[1]:])))
+
+
+def _noncrossing_arcs(rng: random.Random, order):
+    arcs = []
+    runs = [order]
+    while runs:
+        run = runs.pop()
+        if not run:
+            continue
+        k = rng.randrange(len(run) // 2) * 2 + 1
+        arcs.append((run[0], run[k]) if rng.random() < 0.5 else (run[k], run[0]))
+        runs.extend((run[k + 1:], run[1:k]))
+    rng.shuffle(arcs)
+    return tuple(arcs)
+
+
+def _any_arcs(rng: random.Random, order):
+    slots = list(order)
+    rng.shuffle(slots)
+    return tuple((slots[i], slots[i + 1]) for i in range(0, len(slots), 2))
+
+
+def _report_fields(rep):
+    return ([(p.index, p.kind, p.role, p.chords, p.corner_intervals, p.edges)
+             for p in rep.pieces],
+            [(pair, [p.index for p in chain]) for pair, chain in rep.stacks.items()],
+            [p.index for p in rep.outside])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 14))
+def test_classify_pieces_matches_recursive_oracle(rng, max_arcs):
+    fm = _random_face(rng, max_arcs)
+    d = DividingSet(face=fm, arcs=_noncrossing_arcs(rng, fm.slots))
+    assert dividing._region_split(d) == oracle_region_split(d)
+    fast = classify_pieces(d)
+    original = dividing._region_split
+    try:
+        dividing._region_split = oracle_region_split
+        slow = classify_pieces(d)
+    finally:
+        dividing._region_split = original
+    assert _report_fields(fast) == _report_fields(slow)
+    assert fast.total == len(d.arcs) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 14), st.booleans())
+def test_crossing_check_matches_pairwise_oracle(rng, max_arcs, planar):
+    fm = _random_face(rng, max_arcs)
+    arcs = (_noncrossing_arcs if planar else _any_arcs)(rng, fm.slots)
+    want = oracle_crossing_message(fm, arcs)
+    if planar:
+        assert want is None
+    if want is None:
+        DividingSet(face=fm, arcs=arcs)
+    else:
+        with pytest.raises(ValueError) as exc:
+            DividingSet(face=fm, arcs=arcs)
+        assert str(exc.value) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 14))
+def test_slot_lookups_match_linear_scans(rng, max_arcs):
+    fm = _random_face(rng, max_arcs)
+    d = DividingSet(face=fm, arcs=_noncrossing_arcs(rng, fm.slots))
+    assert fm.positions() == oracle_positions(fm)
+    for s in fm.slots:
+        e = next(e for e, edge in enumerate(fm.edge_slots) if s in edge)
+        assert fm.edge_of(s) == e
+        assert fm.locate(s) == (e, fm.edge_slots[e].index(s), oracle_positions(fm)[s])
+        assert d.arc_of(s) == oracle_arc_of(d, s)
+    for slot in (-1, 10 ** 9):
+        with pytest.raises(KeyError, match=f"slot {slot} not on face X"):
+            fm.edge_of(slot)
+        with pytest.raises(KeyError, match=f"slot {slot} is not matched"):
+            d.arc_of(slot)
+    want = []
+    for arc in d.arcs:
+        ea, eb = fm.edge_of(arc[0]), fm.edge_of(arc[1])
+        slots = fm.edge_slots[ea]
+        if ea == eb and abs(slots.index(arc[0]) - slots.index(arc[1])) == 1:
+            want.append((arc, ea, len(d.arcs) > 1))
+    assert [(b.arc, b.edge, b.usable) for b in boundary_parallel_arcs(d)] == want
+    per_end, _ = extremal_components(d)
+    for (e, end), arc in per_end.items():
+        assert arc == oracle_arc_of(d, fm.edge_slots[e][-end])
+
+
+def test_indexes_stay_out_of_equality_hash_and_repr():
+    d = fixtures.stack_face(2, 2, 2)
+    twin = fixtures.stack_face(2, 2, 2)
+    before = (repr(d), hash(d))
+    d.arc_of(0)
+    d.face.edge_of(0)
+    assert (repr(d), hash(d)) == before
+    assert d == twin and hash(d) == hash(twin)
+
+
+@pytest.mark.parametrize("n", [5000, 20000])
+def test_nested_stack_past_the_recursion_limit(n):
+    assert sys.getrecursionlimit() < n
+    fm = FaceModel(face="P", edge_slots=(tuple(range(2 * n - 2, -1, -2)),
+                                         tuple(range(1, 2 * n, 2)), ()))
+    d = DividingSet(face=fm, arcs=tuple((2 * i, 2 * i + 1) for i in range(n)))
+    assert classify_pieces(d).total == n + 1
+
+
+def test_random_noncrossing_face_draws_as_before():
+    for seed in range(500):
+        new = fixtures.random_noncrossing_face(random.Random(seed), max_arcs=40)
+        old = oracle_random_noncrossing_face(random.Random(seed), max_arcs=40)
+        assert new == old
+
+
+def test_random_noncrossing_face_past_the_recursion_limit():
+    rng = random.Random(11)
+    sizes = [len(fixtures.random_noncrossing_face(rng, max_arcs=5000).arcs)
+             for _ in range(5)]
+    assert max(sizes) > sys.getrecursionlimit()
+
+
+# ---------------------------------------------------------------------------
+# one piece report per face per prism call
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = prisms.classify_pieces
+
+    def counted(d):
+        calls.append(d.face.face)
+        return real(d)
+
+    monkeypatch.setattr(prisms, "classify_pieces", counted)
+    return calls
+
+
+def _three_stack_config():
+    (t1, t2), models = fixtures.two_tetrahedra(6)
+    faces = {fid: fixtures.stack_face(3, 3, 3, face=fid) for fid in models}
+    plist = {}
+    for t in (t1, t2):
+        vfs = []
+        for fid in t.faces:
+            for chain in classify_pieces(faces[fid]).stacks.values():
+                chords = sorted({tuple(sorted(c)) for p in chain for c in p.chords})
+                vfs.append(VerticalFace(face=fid, bottom=chords[0], top=chords[-1]))
+        plist[t.index] = (Prism("corner:s1", tuple(vfs)),)
+    sel = {tid: PrismSelection(frozenset({"s1"})) for tid in plist}
+    return PrismConfiguration(selections=sel, prisms=plist), faces
+
+
+def test_admissible_classifies_each_face_once(monkeypatch):
+    cfg, faces = _three_stack_config()
+    calls = _counting(monkeypatch)
+    assert admissible(cfg, faces)
+    referenced = {vf.face for _, p in cfg.all_prisms() for vf in p.vertical_faces}
+    assert sorted(calls) == sorted(referenced)
+    assert len(referenced) < sum(len(p.vertical_faces) for _, p in cfg.all_prisms())
+
+
+def test_coverage_report_classifies_each_face_once(monkeypatch):
+    cfg, faces = _three_stack_config()
+    calls = _counting(monkeypatch)
+    rep = coverage_report(cfg, faces, max_outside=100, min_pieces_per_face=1)
+    assert sorted(calls) == sorted(faces)
+    assert rep.within_bounds

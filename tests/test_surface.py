@@ -277,3 +277,18 @@ def test_chi_additivity_on_fixture_family(data):
     s = tuple(x + y for x, y in zip(u, v))
     chi = lambda w: carried_surface(surf, w).euler_char
     assert chi(s) == chi(u) + chi(v)
+
+
+# ---------------------------------------------------------------------------
+# union-find
+
+
+def test_union_find_long_chain_keeps_root_choice():
+    from bsurf.surface import _UnionFind
+    uf = _UnionFind()
+    n = 100_000
+    for i in range(n):
+        uf.union(i + 1, i)
+    # union(x, y) hangs y's root under x's root, so the last element is the root
+    assert uf.find(0) == n
+    assert all(uf.parent[i] == n for i in range(n + 1))

@@ -3,8 +3,9 @@
 The solution set of a switch system inside the nonnegative orthant is a
 finitely generated monoid; its minimal elements under the componentwise
 order form the unique generating set computed here.  The working
-algorithm is the Contejean-Devie completion over exact integers; an
-independent brute-force enumerator doubles as the test oracle.
+algorithm is the Contejean-Devie completion over exact integers, which
+updates each candidate's residual and scores as it grows; an independent
+brute-force enumerator doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _dominates(x: Sequence[int], y: Sequence[int]) -> bool:
 
 
 def _minimal_filter(vectors) -> list[tuple[int, ...]]:
-    vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
+    vecs = sorted(vectors, key=lambda v: (sum(v), v))
     out: list[tuple[int, ...]] = []
     for v in vecs:
         if not any(_dominates(v, m) for m in out):
@@ -72,42 +73,57 @@ def _minimal_filter(vectors) -> list[tuple[int, ...]]:
 def minimal_generators(s: ConeSystem) -> MinimalGenerators:
     """Complete set of minimal nonzero solutions, in lexicographic order.
 
-    Contejean-Devie completion: grow candidates from the unit vectors,
-    extending t by e_i only while <A t, A e_i> < 0, collecting the
-    solutions and pruning anything dominating a known solution.
+    Contejean-Devie completion.  Write A for the m x d relation matrix
+    and G for its Gram matrix, G[i][j] = <A e_i, A e_j>.  Level n holds
+    the candidates t with coordinate sum n; level 1 holds the unit
+    vectors.  Each candidate carries v = A t and sc = A^T A t, so that
+    sc[i] = <A t, A e_i>; its child t + e_i carries v + A e_i and
+    sc + G[i], at O(m + d) per child instead of O(m d) per candidate.
+    A candidate that dominates a known solution is dropped, one with
+    v = 0 is a solution, and any other one is extended by e_i exactly
+    where sc[i] < 0.
+
+    Before a candidate is expanded it has been checked against every
+    solution known by then: against all of them when it was pushed, and
+    against those found later when its level comes.  Solutions are only
+    added at the level being expanded, and candidates of one level have
+    the same sum and are distinct, so no solution dominates another and
+    the solutions need no final minimality filter.  As the candidate t
+    dominates no solution, its child t + e_i can only dominate a solution
+    m with m[i] > t[i].
     """
     d = s.dimension
     cols = [tuple(row[i] for row in s.relations) for i in range(d)]
+    gram = [tuple(sum(map(mul, a, b)) for b in cols) for a in cols]
 
     sols: list[tuple[int, ...]] = []
-    frontier = []
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        frontier.append(e)
-    seen = set(frontier)
-
+    # (t, A t, A^T A t, number of solutions t was checked against)
+    frontier = [((0,) * i + (1,) + (0,) * (d - 1 - i), cols[i], gram[i], 0)
+                for i in range(d)]
     while frontier:
         next_frontier = []
-        for t in frontier:
-            if any(_dominates(t, m) and t != m for m in sols):
+        seen = set()                    # one level: every child has the same sum
+        for t, v, sc, checked in frontier:
+            if any(_dominates(t, m) for m in sols[checked:]):
                 continue
-            v = s.residual(t)
-            if all(x == 0 for x in v):
+            if not any(v):
                 sols.append(t)
                 continue
-            for i in range(d):
-                if sum(a * b for a, b in zip(v, cols[i])) < 0:
-                    child = tuple(t[j] + (1 if j == i else 0) for j in range(d))
+            known = len(sols)
+            for i, c in enumerate(sc):
+                if c < 0:
+                    ti = t[i] + 1
+                    child = t[:i] + (ti,) + t[i + 1:]
                     if child in seen:
                         continue
-                    if any(_dominates(child, m) for m in sols):
+                    if any(m[i] >= ti and _dominates(child, m) for m in sols):
                         continue
                     seen.add(child)
-                    next_frontier.append(child)
+                    next_frontier.append((child, tuple([a + b for a, b in zip(v, cols[i])]),
+                                          tuple([a + b for a, b in zip(sc, gram[i])]), known))
         frontier = next_frontier
 
-    basis = sorted(_minimal_filter(sols))
-    return MinimalGenerators(basis=tuple(basis), system=s)
+    return MinimalGenerators(basis=tuple(sorted(sols)), system=s)
 
 
 DEFAULT_BUDGET = 20_000_000

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsurf
-from bsurf.hilbert import (ConeSystem, NotGeneratedError, brute_force_minimals,
-                           decompose, membership, minimal_generators, solutions_up_to)
+from bsurf.hilbert import (ConeSystem, MinimalGenerators, NotGeneratedError, _dominates,
+                           _minimal_filter, brute_force_minimals, decompose, membership,
+                           minimal_generators, solutions_up_to)
 
 CONE_X3 = ConeSystem(dimension=3, relations=((-1, -1, 1),))   # x3 = x1 + x2
 CONE_DOUBLE = ConeSystem(dimension=2, relations=((1, -2),))   # x1 = 2 x2
@@ -39,6 +40,56 @@ def random_switch_system(rng: random.Random, max_dim: int = 8,
         row[l] -= 1
         if any(row):
             rows.append(tuple(row))
+    return ConeSystem(dimension=d, relations=tuple(rows))
+
+
+def _reference_minimal_generators(s: ConeSystem) -> MinimalGenerators:
+    """The plain Contejean-Devie loop: residual and scores recomputed for every candidate."""
+    d = s.dimension
+    cols = [tuple(row[i] for row in s.relations) for i in range(d)]
+
+    sols: list[tuple[int, ...]] = []
+    frontier = []
+    for i in range(d):
+        e = tuple(1 if j == i else 0 for j in range(d))
+        frontier.append(e)
+    seen = set(frontier)
+
+    while frontier:
+        next_frontier = []
+        for t in frontier:
+            if any(_dominates(t, m) and t != m for m in sols):
+                continue
+            v = s.residual(t)
+            if all(x == 0 for x in v):
+                sols.append(t)
+                continue
+            for i in range(d):
+                if sum(a * b for a, b in zip(v, cols[i])) < 0:
+                    child = tuple(t[j] + (1 if j == i else 0) for j in range(d))
+                    if child in seen:
+                        continue
+                    if any(_dominates(child, m) for m in sols):
+                        continue
+                    seen.add(child)
+                    next_frontier.append(child)
+        frontier = next_frontier
+
+    basis = sorted(_minimal_filter(sols))
+    return MinimalGenerators(basis=tuple(basis), system=s)
+
+
+def cone_system(d: int, rng: random.Random) -> ConeSystem:
+    """x_j = x_(j+1) + x_(j+3) for j < 3d/4, indices mod d, sector labels shuffled."""
+    perm = list(range(d))
+    rng.shuffle(perm)
+    rows = []
+    for j in range(3 * d // 4):
+        row = [0] * d
+        row[perm[j]] += 1
+        row[perm[(j + 1) % d]] -= 1
+        row[perm[(j + 3) % d]] -= 1
+        rows.append(tuple(row))
     return ConeSystem(dimension=d, relations=tuple(rows))
 
 
@@ -169,7 +220,6 @@ def test_decompose_rejects_inadmissible_and_zero():
 
 
 def test_decompose_truncated_basis_fails():
-    from bsurf.hilbert import MinimalGenerators
     g = minimal_generators(CONE_X3)
     truncated = MinimalGenerators(basis=g.basis[:1], system=g.system)
     removed = g.basis[1]
@@ -206,3 +256,26 @@ def test_generation_and_minimality(seed):
     for w in solutions_up_to(s, 6):
         dec = decompose(w, g)
         assert dec.recompose() == w
+
+
+# ---------------------------------------------------------------------------
+# the incremental completion against the plain loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_completion_matches_reference_loop(seed):
+    rng = random.Random(seed)
+    s = random_switch_system(rng, max_dim=12, max_relations=6)
+    assert minimal_generators(s) == _reference_minimal_generators(s)
+
+
+@pytest.mark.parametrize("d", [10, 12, 14])
+def test_completion_matches_reference_on_cone_family(d):
+    s = cone_system(d, random.Random(f"cone/{d}"))
+    g = minimal_generators(s)
+    assert g == _reference_minimal_generators(s)
+    basis = g.basis
+    assert basis and list(basis) == sorted(basis)
+    assert not any(u != w and _dominates(u, w) for u in basis for w in basis)
+    assert all(any(u) and membership(u, s) for u in basis)

@@ -413,8 +413,7 @@ def classify_pieces(d: DividingSet) -> PieceReport:
     f = d.face
     raw = _region_split(d)
     pieces: list[Piece] = []
-    for idx, (chords, intervals) in enumerate(raw):
-        corners = tuple(iv for iv in intervals)
+    for idx, (chords, corners) in enumerate(raw):
         has_corner = any(iv for iv in corners)
         if len(chords) == 0:
             pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, PieceRole.HEXAGON,
@@ -439,12 +438,13 @@ def classify_pieces(d: DividingSet) -> PieceReport:
             role = PieceRole.CORNER if has_corner else PieceRole.CENTRAL
             pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, role, chords, corners))
 
-    # maximal stacks per edge pair: longest chain of ordinary pieces
+    # maximal stacks per edge pair: longest chain of ordinary pieces; both
+    # regions of a chord hold the same stored arc, so it keys the chain search
     by_chord: dict[tuple[int, int], list[Piece]] = {}
     ordinary = [p for p in pieces if p.kind is PieceKind.ORDINARY]
     for p in ordinary:
         for ch in p.chords:
-            by_chord.setdefault(tuple(sorted(ch)), []).append(p)
+            by_chord.setdefault(ch, []).append(p)
     chains: dict[int, list[Piece]] = {}
     seen: set[int] = set()
     for p in ordinary:
@@ -456,7 +456,7 @@ def classify_pieces(d: DividingSet) -> PieceReport:
         while frontier:
             q = frontier.pop()
             for ch in q.chords:
-                for r in by_chord.get(tuple(sorted(ch)), []):
+                for r in by_chord[ch]:
                     if r.index not in seen:
                         seen.add(r.index)
                         chain.append(r)

@@ -135,18 +135,23 @@ def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
     Walks {0..bound}^d with the last coordinate fastest.  Each relation
     is settled at the last coordinate it involves: the coordinates before
     it fix its partial sum, which leaves at most one value there.  The
-    walk keeps an explicit stack, so no recursion grows with d.
+    walk keeps an explicit stack, so no recursion grows with d.  Only the
+    coordinates with no relation due range freely, so the walk visits at
+    most (bound+1)^free points; that bound is checked against the budget
+    before the walk starts.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     d = s.dimension
-    total = (bound + 1) ** d
-    if total > budget:
-        raise ValueError(f"enumeration budget exceeded: {bound + 1}^{d} = {total} > {budget}")
     due: list[list[tuple[int, ...]]] = [[] for _ in range(d)]   # by last nonzero column
     for row in s.relations:
         if any(row):
             due[max(i for i, c in enumerate(row) if c)].append(row)
+    free = sum(1 for rows in due if not rows)
+    total = (bound + 1) ** free
+    if total > budget:
+        raise ValueError(f"enumeration budget exceeded: {bound + 1}^{free} = {total} > {budget}"
+                         f" ({free} of {d} coordinates free)")
     values = range(bound + 1)
     x = [0] * d
 

@@ -8,9 +8,11 @@ and triple points (transverse crossings of two branch arcs).
 
 Weights are nonnegative integers per sector subject to the switch
 equation at every branch arc: the single-sheet side carries the sum of
-the two merging stacks.  A weight vector determines a carried surface,
-assembled here as an explicit cell complex: ``w[i]`` parallel copies of
-sector ``i``, glued stack-to-stack along branch arcs.
+the two merging stacks.  A weight vector determines a carried surface:
+``w[i]`` parallel copies of sector ``i``, glued stack-to-stack along
+branch arcs.  ``carried_surface`` reads its components, Euler
+characteristics and orientability off one pass over the arcs, with
+union-finds on integer face and corner ids, without building the cells.
 """
 
 from __future__ import annotations
@@ -301,32 +303,6 @@ class CarriedSurface:
         return len(self.components) == 1
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        p = parent.setdefault(x, x)
-        if p == x:
-            return x
-        q = parent[p]
-        if q == p:                    # x hangs directly under its root
-            return p
-        path = [x]
-        while q != p:
-            path.append(p)
-            p, q = q, parent[q]
-        for y in path:
-            parent[y] = p
-        return p
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def classify(euler_char: int, orientable: bool) -> Classification:
     if euler_char == 0 and orientable:
         return Classification.TORUS
@@ -352,14 +328,46 @@ def _stack_pairs(arc: BranchArc, w_u: int, w_l: int):
             yield k, (Side.LOWER, copy), arc.reversed_lower
 
 
+def _find(parent: list[int], parity: list[int], x: int) -> tuple[int, int]:
+    """Root of x and the parity of x relative to it.
+
+    ``parity[y]`` is the parity of y relative to ``parent[y]``.  The walk
+    is iterative, and every node on the path is hung directly under the
+    root with its parity updated, so a union ``parent[ry] = rx`` keeps
+    the root choice and long chains cost no recursion.
+    """
+    path = []
+    while parent[x] != x:
+        path.append(x)
+        x = parent[x]
+    p = 0
+    for y in reversed(path):
+        p ^= parity[y]
+        parity[y] = p
+        parent[y] = x
+    return x, p
+
+
 def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurface:
     """Assemble the surface carried at a weight vector.
 
-    Faces are (sector, copy); each branch arc glues the merged stack to
-    the concatenated merging stacks.  chi is counted as interior cells
-    (sum of w_i * chi_i) minus glued segment edges plus vertex classes
-    over triple points; components come from a union-find over faces
-    and orientability from co-orientation propagation.
+    Face (sector s, copy c) is the integer ``off[s] + c``, so face ids
+    sort like the (sector, copy) pairs.  Each boundary cycle of s that is
+    not a closed arc gives every copy one corner between each two
+    consecutive edges; corner j of face (s, c) is ``coff[s] + c *
+    ncorner[s] + j``, so the edges of a cycle share corners with no union.
+
+    One pass over the branch arcs glues each merged copy to its merging
+    copy (``_stack_pairs``).  Faces join in a union-find with parity:
+    ``parity[f]`` is the co-orientation flip from f to ``parent[f]``, so a
+    gluing whose flip disagrees with the parities of two faces already
+    joined makes their component non-orientable, as a non-orientable
+    sector does.  Along an arc with endpoints, the corners at both ends
+    join in a second union-find.
+
+    chi is charged per face: chi of its sector plus its corners, minus
+    one per glued segment and one per corner merge.  A root holds the sum
+    of its component's charges.  Components are numbered in root order.
     """
     weights = tuple(int(w) for w in weights)
     if not satisfies_switch(b, weights):
@@ -367,115 +375,59 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     if all(w == 0 for w in weights):
         raise ValueError("zero weight vector carries nothing")
 
-    refs = _sector_refs(b)
-
-    def ref_at(arc_id: int, side: Side) -> tuple[int, int, int]:
-        return refs[(arc_id, side)][0]
-
-    faces = _UnionFind()
-    corners = _UnionFind()
-    # gluing interfaces, with their co-orientation flip parity
-    sign_edges: list[tuple[tuple[int, int], tuple[int, int], bool]] = []
-
+    # (arc, side) -> corner of its face at arc endpoint 0 and at endpoint 1
+    ends: dict[tuple[int, Side], tuple[int, int]] = {}
+    off, coff, ncorner = [], [], []
+    chi: list[int] = []
+    bad: list[bool] = []
+    nc = 0
     for sec in b.sectors:
-        for c in range(weights[sec.index]):
-            faces.find((sec.index, c))
-
-    # Corner instances: (sector, copy, cycle, position, end) where end is the
-    # arc endpoint index (0 or 1) of the edge at that cycle position.
-    for sec in b.sectors:
-        for ci, cycle in enumerate(sec.boundary_cycles):
+        n = 0
+        for cycle in sec.boundary_cycles:
             if len(cycle) == 1 and b.branch_arcs[cycle[0].arc].is_closed:
                 continue
-            for c in range(weights[sec.index]):
-                for pos, ref in enumerate(cycle):
-                    npos = (pos + 1) % len(cycle)
-                    nref = cycle[npos]
-                    leave_end = 1 if ref.along == 1 else 0
-                    enter_end = 0 if nref.along == 1 else 1
-                    corners.union((sec.index, c, ci, pos, leave_end),
-                                  (sec.index, c, ci, npos, enter_end))
+            for pos, ref in enumerate(cycle):
+                before, after = n + (pos - 1) % len(cycle), n + pos
+                ends[ref.arc, ref.side] = (before, after) if ref.along == 1 else (after, before)
+            n += len(cycle)
+        w = weights[sec.index]
+        off.append(len(chi))
+        coff.append(nc)
+        ncorner.append(n)
+        nc += n * w
+        chi += [sec.euler_char + n] * w
+        bad += [not sec.orientable] * w
 
+    parent, parity = list(range(len(chi))), [0] * len(chi)
+    cparent, cparity = list(range(nc)), [0] * nc
     for arc in b.branch_arcs:
-        w_u = weights[arc.upper_sector]
-        w_l = weights[arc.lower_sector]
-        if w_u + w_l == 0:
-            continue
-        m_sec, m_ci, m_pos = ref_at(arc.index, Side.MERGED)
-        side_ref = {Side.UPPER: ref_at(arc.index, Side.UPPER),
-                    Side.LOWER: ref_at(arc.index, Side.LOWER)}
-        for k, (side, copy), flip in _stack_pairs(arc, w_u, w_l):
-            o_sec, o_ci, o_pos = side_ref[side]
-            fm = (m_sec, k)
-            fo = (o_sec, copy)
-            faces.union(fm, fo)
-            sign_edges.append((fm, fo, flip))
-            if not arc.is_closed:
-                for end in (0, 1):
-                    corners.union((m_sec, k, m_ci, m_pos, end),
-                                  (o_sec, copy, o_ci, o_pos, end))
+        m = arc.merged_sector
+        segment = not arc.is_closed
+        for k, (side, copy), flip in _stack_pairs(arc, weights[arc.upper_sector],
+                                                  weights[arc.lower_sector]):
+            o = arc.upper_sector if side is Side.UPPER else arc.lower_sector
+            rx, px = _find(parent, parity, off[m] + k)
+            ry, py = _find(parent, parity, off[o] + copy)
+            if rx != ry:
+                parent[ry] = rx
+                parity[ry] = px ^ py ^ flip
+                chi[rx] += chi[ry]
+                bad[rx] = bad[rx] or bad[ry]
+            elif px ^ py != flip:
+                bad[rx] = True
+            if segment:
+                chi[rx] -= 1
+                for cm, co in zip(ends[arc.index, Side.MERGED], ends[arc.index, side]):
+                    ca = _find(cparent, cparity, coff[m] + k * ncorner[m] + cm)[0]
+                    cb = _find(cparent, cparity, coff[o] + copy * ncorner[o] + co)[0]
+                    if ca != cb:
+                        cparent[cb] = ca
+                        chi[rx] -= 1
 
-    # Component membership per face copy.
-    all_faces = [(s.index, c) for s in b.sectors for c in range(weights[s.index])]
-    roots = sorted({faces.find(f) for f in all_faces})
-    comp_of_root = {r: i for i, r in enumerate(roots)}
-    comp_of_face = {f: comp_of_root[faces.find(f)] for f in all_faces}
-
-    # chi bookkeeping per component.
-    interior = [0] * len(roots)
-    for s, c in all_faces:
-        interior[comp_of_face[(s, c)]] += b.sectors[s].euler_char
-
-    edges = [0] * len(roots)
-    for arc in b.branch_arcs:
-        if arc.is_closed:
-            continue
-        w_u = weights[arc.upper_sector]
-        w_l = weights[arc.lower_sector]
-        for k in range(w_u + w_l):
-            edges[comp_of_face[(arc.merged_sector, k)]] += 1
-
-    vertex_roots: dict = {}
-    for key in list(corners.parent):
-        root = corners.find(key)
-        vertex_roots.setdefault(root, key)
-    vertices = [0] * len(roots)
-    for root in vertex_roots:
-        s, c = root[0], root[1]
-        vertices[comp_of_face[(s, c)]] += 1
-
-    # Orientability: any non-orientable sector poisons its component, else
-    # propagate co-orientation signs and look for a contradiction.
-    nonorientable = [False] * len(roots)
-    for s, c in all_faces:
-        if not b.sectors[s].orientable:
-            nonorientable[comp_of_face[(s, c)]] = True
-    sign: dict[tuple[int, int], int] = {}
-    adj: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {f: [] for f in all_faces}
-    for fa, fb, flip in sign_edges:
-        adj[fa].append((fb, flip))
-        adj[fb].append((fa, flip))
-    for f in all_faces:
-        if f in sign:
-            continue
-        sign[f] = 1
-        queue = [f]
-        while queue:
-            u = queue.pop()
-            for v, flip in adj[u]:
-                want = -sign[u] if flip else sign[u]
-                if v not in sign:
-                    sign[v] = want
-                    queue.append(v)
-                elif sign[v] != want:
-                    nonorientable[comp_of_face[v]] = True
-
-    components = []
-    for i in range(len(roots)):
-        chi = interior[i] - edges[i] + vertices[i]
-        orient = not nonorientable[i]
-        components.append(Component(i, chi, orient, classify(chi, orient)))
-    return CarriedSurface(source=b, weight=weights, components=tuple(components))
+    roots = [f for f in range(len(chi)) if parent[f] == f]
+    components = tuple(Component(i, chi[r], not bad[r], classify(chi[r], not bad[r]))
+                       for i, r in enumerate(roots))
+    return CarriedSurface(source=b, weight=weights, components=components)
 
 
 def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
@@ -510,7 +462,6 @@ def carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, list[str]]]:
     """Adjacency list of sheet copies of a carried surface."""
     b = s.source
     weights = s.weight
-    refs = _sector_refs(b)
     edges: dict[str, set[str]] = {}
     for sec in b.sectors:
         for c in range(weights[sec.index]):

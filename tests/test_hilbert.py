@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsurf
-from bsurf.hilbert import (ConeSystem, MinimalGenerators, NotGeneratedError, _dominates,
-                           _minimal_filter, brute_force_minimals, decompose, membership,
-                           minimal_generators, solutions_up_to)
+from bsurf.hilbert import (DEFAULT_BUDGET, ConeSystem, MinimalGenerators, NotGeneratedError,
+                           _dominates, _minimal_filter, brute_force_minimals, decompose,
+                           membership, minimal_generators, solutions_up_to)
 
 CONE_X3 = ConeSystem(dimension=3, relations=((-1, -1, 1),))   # x3 = x1 + x2
 CONE_DOUBLE = ConeSystem(dimension=2, relations=((1, -2),))   # x1 = 2 x2
@@ -148,6 +148,17 @@ def test_oracle_unit_vectors():
 def test_oracle_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         brute_force_minimals(ConeSystem(dimension=8), 30)
+
+
+def test_oracle_budget_counts_free_coordinates():
+    # random_switch_system(Random(507834), 6, 5): a doubling chain with one
+    # free coordinate, so 17^1 points are walked, not the 17^6 box
+    s = ConeSystem(dimension=6, relations=(
+        (0, 1, -2, 0, 0, 0), (0, 0, 1, -2, 0, 0), (1, 0, 0, 0, 0, -2),
+        (0, 0, 0, 1, -2, 0), (0, 0, 0, 0, 1, -2)))
+    assert (16 + 1) ** 6 > DEFAULT_BUDGET
+    assert minimal_generators(s).basis == ((2, 16, 8, 4, 2, 1),)
+    assert brute_force_minimals(s, 16) == ((2, 16, 8, 4, 2, 1),)
 
 
 @pytest.mark.parametrize("d", [70, 5000])

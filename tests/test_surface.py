@@ -1,5 +1,9 @@
+import dataclasses
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +11,11 @@ from hypothesis import strategies as st
 
 from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
-from bsurf.surface import (BranchArc, BranchedSurface, Classification, CycleRef,
-                           Sector, Side, TriplePoint, carried_surface, fully_carried,
-                           klein_double, satisfies_switch, switch_system, switch_violation,
-                           validate)
+from bsurf.surface import (BranchArc, BranchedSurface, CarriedSurface, Classification,
+                           Component, CycleRef, Sector, Side, TriplePoint, _find,
+                           _sector_refs, _stack_pairs, carried_surface, classify,
+                           fully_carried, klein_double, satisfies_switch, switch_system,
+                           switch_violation, validate)
 
 
 def combine(basis, coeffs):
@@ -280,15 +285,262 @@ def test_chi_additivity_on_fixture_family(data):
 
 
 # ---------------------------------------------------------------------------
+# carried_surface against the two-pass reference
+
+# The dict-keyed union-finds, sign BFS and vertex-root scan that
+# carried_surface replaced, kept as the oracle.
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        if p == x:
+            return x
+        q = parent[p]
+        if q == p:                    # x hangs directly under its root
+            return p
+        path = [x]
+        while q != p:
+            path.append(p)
+            p, q = q, parent[q]
+        for y in path:
+            parent[y] = p
+        return p
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
+
+
+def _reference_carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurface:
+    """Assemble the surface carried at a weight vector.
+
+    Faces are (sector, copy); each branch arc glues the merged stack to
+    the concatenated merging stacks.  chi is counted as interior cells
+    (sum of w_i * chi_i) minus glued segment edges plus vertex classes
+    over triple points; components come from a union-find over faces
+    and orientability from co-orientation propagation.
+    """
+    weights = tuple(int(w) for w in weights)
+    if not satisfies_switch(b, weights):
+        raise ValueError("weight vector violates the switch system")
+    if all(w == 0 for w in weights):
+        raise ValueError("zero weight vector carries nothing")
+
+    refs = _sector_refs(b)
+
+    def ref_at(arc_id: int, side: Side) -> tuple[int, int, int]:
+        return refs[(arc_id, side)][0]
+
+    faces = _UnionFind()
+    corners = _UnionFind()
+    # gluing interfaces, with their co-orientation flip parity
+    sign_edges: list[tuple[tuple[int, int], tuple[int, int], bool]] = []
+
+    for sec in b.sectors:
+        for c in range(weights[sec.index]):
+            faces.find((sec.index, c))
+
+    # Corner instances: (sector, copy, cycle, position, end) where end is the
+    # arc endpoint index (0 or 1) of the edge at that cycle position.
+    for sec in b.sectors:
+        for ci, cycle in enumerate(sec.boundary_cycles):
+            if len(cycle) == 1 and b.branch_arcs[cycle[0].arc].is_closed:
+                continue
+            for c in range(weights[sec.index]):
+                for pos, ref in enumerate(cycle):
+                    npos = (pos + 1) % len(cycle)
+                    nref = cycle[npos]
+                    leave_end = 1 if ref.along == 1 else 0
+                    enter_end = 0 if nref.along == 1 else 1
+                    corners.union((sec.index, c, ci, pos, leave_end),
+                                  (sec.index, c, ci, npos, enter_end))
+
+    for arc in b.branch_arcs:
+        w_u = weights[arc.upper_sector]
+        w_l = weights[arc.lower_sector]
+        if w_u + w_l == 0:
+            continue
+        m_sec, m_ci, m_pos = ref_at(arc.index, Side.MERGED)
+        side_ref = {Side.UPPER: ref_at(arc.index, Side.UPPER),
+                    Side.LOWER: ref_at(arc.index, Side.LOWER)}
+        for k, (side, copy), flip in _stack_pairs(arc, w_u, w_l):
+            o_sec, o_ci, o_pos = side_ref[side]
+            fm = (m_sec, k)
+            fo = (o_sec, copy)
+            faces.union(fm, fo)
+            sign_edges.append((fm, fo, flip))
+            if not arc.is_closed:
+                for end in (0, 1):
+                    corners.union((m_sec, k, m_ci, m_pos, end),
+                                  (o_sec, copy, o_ci, o_pos, end))
+
+    # Component membership per face copy.
+    all_faces = [(s.index, c) for s in b.sectors for c in range(weights[s.index])]
+    roots = sorted({faces.find(f) for f in all_faces})
+    comp_of_root = {r: i for i, r in enumerate(roots)}
+    comp_of_face = {f: comp_of_root[faces.find(f)] for f in all_faces}
+
+    # chi bookkeeping per component.
+    interior = [0] * len(roots)
+    for s, c in all_faces:
+        interior[comp_of_face[(s, c)]] += b.sectors[s].euler_char
+
+    edges = [0] * len(roots)
+    for arc in b.branch_arcs:
+        if arc.is_closed:
+            continue
+        w_u = weights[arc.upper_sector]
+        w_l = weights[arc.lower_sector]
+        for k in range(w_u + w_l):
+            edges[comp_of_face[(arc.merged_sector, k)]] += 1
+
+    vertex_roots: dict = {}
+    for key in list(corners.parent):
+        root = corners.find(key)
+        vertex_roots.setdefault(root, key)
+    vertices = [0] * len(roots)
+    for root in vertex_roots:
+        s, c = root[0], root[1]
+        vertices[comp_of_face[(s, c)]] += 1
+
+    # Orientability: any non-orientable sector poisons its component, else
+    # propagate co-orientation signs and look for a contradiction.
+    nonorientable = [False] * len(roots)
+    for s, c in all_faces:
+        if not b.sectors[s].orientable:
+            nonorientable[comp_of_face[(s, c)]] = True
+    sign: dict[tuple[int, int], int] = {}
+    adj: dict[tuple[int, int], list[tuple[tuple[int, int], bool]]] = {f: [] for f in all_faces}
+    for fa, fb, flip in sign_edges:
+        adj[fa].append((fb, flip))
+        adj[fb].append((fa, flip))
+    for f in all_faces:
+        if f in sign:
+            continue
+        sign[f] = 1
+        queue = [f]
+        while queue:
+            u = queue.pop()
+            for v, flip in adj[u]:
+                want = -sign[u] if flip else sign[u]
+                if v not in sign:
+                    sign[v] = want
+                    queue.append(v)
+                elif sign[v] != want:
+                    nonorientable[comp_of_face[v]] = True
+
+    components = []
+    for i in range(len(roots)):
+        chi = interior[i] - edges[i] + vertices[i]
+        orient = not nonorientable[i]
+        components.append(Component(i, chi, orient, classify(chi, orient)))
+    return CarriedSurface(source=b, weight=weights, components=tuple(components))
+
+
+def _polygon_wedge(rng: random.Random, n: int) -> BranchedSurface:
+    """Three sheets along n segment arcs that close up through n triple points.
+
+    Arc i runs from triple point i to triple point i + 1, so each sector
+    has one boundary cycle of n edges and n corners.  Reversed
+    continuations glue a merged copy to different copies along
+    different arcs, which links the corners of many copies.
+    """
+    chis = [rng.randrange(-1, 2) for _ in range(3)]
+    arcs = tuple(BranchArc(i, 0, 1, 2, endpoints=(i, (i + 1) % n),
+                           reversed_upper=rng.random() < 0.5,
+                           reversed_lower=rng.random() < 0.5) for i in range(n))
+    tps = tuple(TriplePoint(t, ((t - 1) % n, t)) for t in range(n))
+    sectors = tuple(Sector(s, chis[s], (tuple(CycleRef(i, side) for i in range(n)),))
+                    for s, side in enumerate((Side.MERGED, Side.UPPER, Side.LOWER)))
+    return BranchedSurface(sectors, arcs, tps, name=f"polygon-wedge-{n}")
+
+
+def _redrawn(sec: Sector, turn: bool, shift: int) -> Sector:
+    """The same sector with each boundary cycle started `shift` edges later,
+    and read the other way round when `turn` is set."""
+    cycles = []
+    for cycle in sec.boundary_cycles:
+        k = shift % len(cycle)
+        cycle = cycle[k:] + cycle[:k]
+        if turn:
+            cycle = tuple(CycleRef(r.arc, r.side, -r.along) for r in reversed(cycle))
+        cycles.append(cycle)
+    return dataclasses.replace(sec, boundary_cycles=tuple(cycles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carried_surface_matches_reference(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if data.draw(st.booleans()):
+        surf = fixtures.random_branched_surface(rng)
+    else:
+        surf = _polygon_wedge(rng, data.draw(st.integers(2, 5)))
+    # the random fixtures draw only orientable sectors, and give all three
+    # sectors of a wedge the same cycle direction
+    n = len(surf.sectors)
+    flips, turns = (data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                    for _ in range(2))
+    shifts = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    surf = dataclasses.replace(surf, sectors=tuple(
+        dataclasses.replace(_redrawn(sec, turn, shift), orientable=not flip)
+        for sec, flip, turn, shift in zip(surf.sectors, flips, turns, shifts)))
+    assert validate(surf).ok
+    gens = minimal_generators(switch_system(surf)).basis
+    if not gens:
+        return
+    coeffs = data.draw(st.lists(st.integers(0, 6), min_size=len(gens), max_size=len(gens)))
+    w = combine(gens, coeffs)
+    if not any(w):
+        return
+    assert carried_surface(surf, w) == _reference_carried_surface(surf, w)
+
+
+@pytest.mark.parametrize("make", [fixtures.random_wedge_surface,
+                                  fixtures.random_two_vertex_surface,
+                                  lambda rng: _polygon_wedge(rng, 4)])
+def test_carried_surface_matches_reference_on_large_wedges(make):
+    # arcs between triple points: corner merges at every sheet copy
+    rng = random.Random(1)
+    surf = make(rng)
+    a = rng.randint(2_000, 8_000)
+    w = combine(((1, 1, 0), (1, 0, 1)), (a, 10_000 - a))
+    assert sum(w) == 2 * 10 ** 4
+    assert carried_surface(surf, w) == _reference_carried_surface(surf, w)
+
+
+def test_carried_theta_closed_forms_at_scale():
+    a, b_ = 37_501, 62_499
+    w = combine(((1, 0, 1), (0, 1, 1)), (a, b_))
+    assert sum(w) == 2 * 10 ** 5
+    kinds = lambda surf: Counter(c.classification for c in carried_surface(surf, w).components)
+    assert kinds(fixtures.theta_surface()) == Counter({Classification.TORUS: a + b_})
+    assert kinds(fixtures.theta_surface(twist=True)) == Counter(
+        {Classification.TORUS: b_ + math.ceil(a / 2) - a % 2, Classification.KLEIN_BOTTLE: a % 2})
+
+
+# ---------------------------------------------------------------------------
 # union-find
 
 
 def test_union_find_long_chain_keeps_root_choice():
-    from bsurf.surface import _UnionFind
-    uf = _UnionFind()
     n = 100_000
+    parent, parity = list(range(n + 1)), [0] * (n + 1)
     for i in range(n):
-        uf.union(i + 1, i)
-    # union(x, y) hangs y's root under x's root, so the last element is the root
-    assert uf.find(0) == n
-    assert all(uf.parent[i] == n for i in range(n + 1))
+        rx, px = _find(parent, parity, i + 1)
+        ry, py = _find(parent, parity, i)
+        if rx != ry:
+            parent[ry] = rx
+            parity[ry] = px ^ py ^ 1
+    # the union hangs y's root under x's root, so the last element is the root
+    assert _find(parent, parity, 0) == (n, n % 2)
+    assert all(parent[i] == n for i in range(n + 1))
+    assert all(parity[i] == (n - i) % 2 for i in range(n + 1))

@@ -9,8 +9,10 @@ structure are the weight vectors of the surface module.
 
 Pruning deletes the sector closures through a bounded-angle boundary
 point and partitions a structure ensemble by the finitely many angle
-values on the deleted sectors; iterating at boundary sectors shrinks
-the quotient to a boundaryless branched surface or to nothing.
+values on the deleted sectors.  Iterating at boundary sectors shrinks
+the quotient to a boundaryless branched surface or to nothing; that
+chain of domains depends only on the domain, so the ensemble is split
+once, by its angles on the removed sectors in removal order.
 """
 
 from __future__ import annotations
@@ -254,6 +256,36 @@ def _restrict_surface(b: BranchedSurface, removed: set[int]):
     return new_surface, old_to_new, arc_to_new, freed
 
 
+def _restrict(fd: FiberedDomain, removed: set[int]) -> FiberedDomain:
+    """The smaller domain left after deleting the closures of ``removed``."""
+    for s in removed:
+        if not 0 <= s < len(fd.quotient.sectors):
+            raise ValueError(f"sector {s} does not exist")
+    new_surface, old_to_new, arc_to_new, freed = _restrict_surface(fd.quotient, removed)
+    new_annuli = []
+    for ann in fd.vertical_annuli:
+        if all(a in arc_to_new for a in ann.arcs):
+            new_annuli.append(replace(ann, index=len(new_annuli),
+                                      arcs=tuple(arc_to_new[a] for a in ann.arcs)))
+    new_boundary = {old_to_new[s] for s in fd.boundary_sectors | freed if s in old_to_new}
+    return FiberedDomain(quotient=new_surface,
+                         vertical_annuli=tuple(new_annuli),
+                         boundary_sectors=frozenset(new_boundary),
+                         name=fd.name)
+
+
+def _partition(ensemble: Sequence[AdjustedStructure], removed: Sequence[int],
+               domain: FiberedDomain, kept: Sequence[int]) -> list[tuple[tuple, list]]:
+    """(angles on ``removed``, structures re-based onto ``domain`` at ``kept``),
+    in ascending key order, each class in ensemble order."""
+    buckets: dict[tuple, list[AdjustedStructure]] = {}
+    for x in ensemble:
+        key = tuple(x.angle[s] for s in removed)
+        angle = AngleFunction(tuple(x.angle[s] for s in kept))
+        buckets.setdefault(key, []).append(AdjustedStructure(domain, angle, x.label))
+    return sorted(buckets.items())
+
+
 def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
           at: Sequence[int], cap: Fraction) -> PruneResult:
     """Delete the sector closures through a boundary point with angles below cap.
@@ -264,9 +296,7 @@ def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
     removed = set(int(s) for s in at)
     if not removed:
         raise ValueError("prune requires at least one sector to remove")
-    for s in removed:
-        if not 0 <= s < len(fd.quotient.sectors):
-            raise ValueError(f"sector {s} does not exist")
+    new_domain = _restrict(fd, removed)
     cap = Fraction(cap)
     for x in ensemble:
         for s in removed:
@@ -275,61 +305,28 @@ def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
                     f"structure {x.label!r}: angle {x.angle[s]} on sector {s} "
                     f"is not below the cap {cap}")
 
-    new_surface, old_to_new, arc_to_new, freed = _restrict_surface(fd.quotient, removed)
-    new_annuli = []
-    for ann in fd.vertical_annuli:
-        if all(a in arc_to_new for a in ann.arcs):
-            new_annuli.append(replace(ann, index=len(new_annuli),
-                                      arcs=tuple(arc_to_new[a] for a in ann.arcs)))
-    new_boundary = {old_to_new[s] for s in fd.boundary_sectors
-                    if s in old_to_new}
-    new_boundary |= {old_to_new[s] for s in freed}
-    new_domain = FiberedDomain(quotient=new_surface,
-                               vertical_annuli=tuple(new_annuli),
-                               boundary_sectors=frozenset(new_boundary),
-                               name=fd.name)
-
     removed_sorted = tuple(sorted(removed))
     keep = [s.index for s in fd.quotient.sectors if s.index not in removed]
-    buckets: dict[tuple, list[AdjustedStructure]] = {}
-    for x in ensemble:
-        key = tuple(x.angle[s] for s in removed_sorted)
-        rebased = AdjustedStructure(
-            domain=new_domain,
-            angle=AngleFunction(tuple(x.angle[s] for s in keep)),
-            label=x.label)
-        buckets.setdefault(key, []).append(rebased)
     classes = tuple(PruneClass(removed_angles=key, structures=tuple(v))
-                    for key, v in sorted(buckets.items()))
+                    for key, v in _partition(ensemble, removed_sorted, new_domain, keep))
     return PruneResult(domain=new_domain, removed_sectors=removed_sorted, classes=classes)
 
 
 def prune_to_closed(fd: FiberedDomain,
                     ensemble: Sequence[AdjustedStructure]) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
-    """Iterate prune at boundary sectors until no boundary remains.
+    """Prune at the lowest-index boundary sector until no boundary remains.
 
-    Site choice: lowest-index boundary sector first.  The cap for each
-    step is inferred from the (finite) ensemble, every boundary point
-    having bounded angles.  The sector count strictly decreases, so at
-    most as many steps run as there are sectors; the empty domain is a
-    legal terminal state.
+    The chain of domains depends only on the domain, so it is walked once,
+    one restriction per step, down to a boundaryless or empty domain.  The
+    ensemble splits once, keyed by its angles on the removed sectors in
+    removal order: classes in descending key order, then stably by size.
     """
-    results: list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]] = []
-    work = [(fd, tuple(ensemble))]
-    while work:
-        domain, structures = work.pop()
-        if not domain.boundary_sectors or not domain.quotient.sectors:
-            results.append((domain, structures))
-            continue
-        site = min(domain.boundary_sectors)
-        if structures:
-            cap = max(x.angle[site] for x in structures) + 1
-        else:
-            cap = Fraction(1)
-        res = prune(domain, structures, at=[site], cap=cap)
-        if res.classes:
-            for cls in res.classes:
-                work.append((res.domain, cls.structures))
-        else:
-            work.append((res.domain, ()))
-    return sorted(results, key=lambda r: (r[0].name, len(r[1])))
+    terminal, kept, removed = fd, list(range(len(fd.quotient.sectors))), []
+    while terminal.boundary_sectors and terminal.quotient.sectors:
+        site = min(terminal.boundary_sectors)
+        terminal = _restrict(terminal, {site})
+        removed.append(kept.pop(site))
+    if not removed:
+        return [(fd, tuple(ensemble))]
+    classes = [tuple(xs) for _, xs in reversed(_partition(ensemble, removed, terminal, kept))]
+    return [(terminal, xs) for xs in sorted(classes, key=len)] or [(terminal, ())]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -256,7 +255,7 @@ def loads(text: str) -> ComplexDocument:
         for sd in ed.get("structures", ()):
             label = sd.get("label", f"{name}[{len(structures)}]")
             try:
-                angles = domain.make_angles([Fraction(a) for a in _req(sd, "angles", label)])
+                angles = domain.make_angles(_req(sd, "angles", label))
                 structures.append(domain.AdjustedStructure(domain=fd, angle=angles,
                                                            label=label))
             except (ValueError, ZeroDivisionError) as exc:

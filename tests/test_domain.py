@@ -1,13 +1,23 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bsurf import fixtures
-from bsurf.domain import (AdjustedStructure, FiberedDomain,
-                          VerticalAnnulus, make_angles, prune, prune_to_closed,
-                          quotient, structure_from_weight, validate_domain, weight_of)
+from bsurf import domain, fixtures, io
+from bsurf.domain import (AdjustedStructure, AngleFunction, FiberedDomain, PruneClass,
+                          PruneResult, VerticalAnnulus, _restrict_surface, make_angles, prune,
+                          prune_to_closed, quotient, structure_from_weight, validate_domain,
+                          weight_of)
+from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, Sector, Side,
-                           satisfies_switch)
+                           satisfies_switch, switch_system)
+
+DOCS = Path(__file__).resolve().parent.parent / "documents"
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +249,203 @@ def test_prune_single_class_when_weights_agree():
     res = prune(fd, xs, at=[0], cap=Fraction(1000))
     assert len(res.classes) == 1
     assert tuple(x.label for x in res.classes[0].structures) == ("p", "q")
+
+
+def test_prune_to_closed_rejects_a_missing_boundary_sector():
+    fd = fixtures.theta_domain(boundary=(7,))
+    for xs in (ensemble_on(fixtures.theta_domain(), [(1, 0, 1)]), []):
+        with pytest.raises(ValueError, match="^sector 7 does not exist$"):
+            prune_to_closed(fd, xs)
+
+
+# ---------------------------------------------------------------------------
+# pruning against the one-class-at-a-time reference
+
+
+def _reference_prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
+                     at: Sequence[int], cap: Fraction) -> PruneResult:
+    """Delete the sector closures through a boundary point with angles below cap.
+
+    The ensemble splits into classes by the angle values on the removed
+    sectors; each class is re-based on the smaller domain.
+    """
+    removed = set(int(s) for s in at)
+    if not removed:
+        raise ValueError("prune requires at least one sector to remove")
+    for s in removed:
+        if not 0 <= s < len(fd.quotient.sectors):
+            raise ValueError(f"sector {s} does not exist")
+    cap = Fraction(cap)
+    for x in ensemble:
+        for s in removed:
+            if not x.angle[s] < cap:
+                raise ValueError(
+                    f"structure {x.label!r}: angle {x.angle[s]} on sector {s} "
+                    f"is not below the cap {cap}")
+
+    new_surface, old_to_new, arc_to_new, freed = _restrict_surface(fd.quotient, removed)
+    new_annuli = []
+    for ann in fd.vertical_annuli:
+        if all(a in arc_to_new for a in ann.arcs):
+            new_annuli.append(replace(ann, index=len(new_annuli),
+                                      arcs=tuple(arc_to_new[a] for a in ann.arcs)))
+    new_boundary = {old_to_new[s] for s in fd.boundary_sectors
+                    if s in old_to_new}
+    new_boundary |= {old_to_new[s] for s in freed}
+    new_domain = FiberedDomain(quotient=new_surface,
+                               vertical_annuli=tuple(new_annuli),
+                               boundary_sectors=frozenset(new_boundary),
+                               name=fd.name)
+
+    removed_sorted = tuple(sorted(removed))
+    keep = [s.index for s in fd.quotient.sectors if s.index not in removed]
+    buckets: dict[tuple, list[AdjustedStructure]] = {}
+    for x in ensemble:
+        key = tuple(x.angle[s] for s in removed_sorted)
+        rebased = AdjustedStructure(
+            domain=new_domain,
+            angle=AngleFunction(tuple(x.angle[s] for s in keep)),
+            label=x.label)
+        buckets.setdefault(key, []).append(rebased)
+    classes = tuple(PruneClass(removed_angles=key, structures=tuple(v))
+                    for key, v in sorted(buckets.items()))
+    return PruneResult(domain=new_domain, removed_sectors=removed_sorted, classes=classes)
+
+
+def _reference_prune_to_closed(fd: FiberedDomain,
+                               ensemble: Sequence[AdjustedStructure]) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
+    """Iterate prune at boundary sectors until no boundary remains.
+
+    Site choice: lowest-index boundary sector first.  The cap for each
+    step is inferred from the (finite) ensemble, every boundary point
+    having bounded angles.  The sector count strictly decreases, so at
+    most as many steps run as there are sectors; the empty domain is a
+    legal terminal state.
+    """
+    results: list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]] = []
+    work = [(fd, tuple(ensemble))]
+    while work:
+        domain, structures = work.pop()
+        if not domain.boundary_sectors or not domain.quotient.sectors:
+            results.append((domain, structures))
+            continue
+        site = min(domain.boundary_sectors)
+        if structures:
+            cap = max(x.angle[site] for x in structures) + 1
+        else:
+            cap = Fraction(1)
+        res = _reference_prune(domain, structures, at=[site], cap=cap)
+        if res.classes:
+            for cls in res.classes:
+                work.append((res.domain, cls.structures))
+        else:
+            work.append((res.domain, ()))
+    return sorted(results, key=lambda r: (r[0].name, len(r[1])))
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _random_domain(rng: random.Random, surface: BranchedSurface) -> FiberedDomain:
+    """One concave annulus per arc and a random set of boundary sectors."""
+    nsec = len(surface.sectors)
+    boundary = frozenset(s for s in range(nsec) if rng.random() < 0.5)
+    return FiberedDomain(
+        quotient=surface,
+        vertical_annuli=tuple(VerticalAnnulus(a.index, arcs=(a.index,))
+                              for a in surface.branch_arcs),
+        boundary_sectors=boundary, name=surface.name)
+
+
+def _random_ensemble(rng: random.Random, fd: FiberedDomain, size: int):
+    """0/1 combinations of the switch-cone generators over a base, shuffled,
+    so that structures share angles and classes merge."""
+    basis = minimal_generators(switch_system(fd.quotient)).basis
+    base = fixtures.base_structure(fd, value=Fraction(rng.choice((1, 3, 5)), 2))
+    xs = [base]
+    for i in range(size - 1):
+        w = [0] * len(fd.quotient.sectors)
+        for u in basis:
+            if rng.random() < 0.5:
+                w = [a + b for a, b in zip(w, u)]
+        xs.append(structure_from_weight(base, w, label=f"x{i}"))
+    rng.shuffle(xs)
+    return xs[:size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 31), tracks=st.booleans())
+def test_prune_matches_reference_on_random_domains(seed, size, tracks):
+    rng = random.Random(seed)
+    draw = fixtures.random_track_suspension if tracks else fixtures.random_branched_surface
+    fd = _random_domain(rng, draw(rng))
+    xs = _random_ensemble(rng, fd, size)
+    assert prune_to_closed(fd, xs) == _reference_prune_to_closed(fd, xs)
+
+    nsec = len(fd.quotient.sectors)
+    at = [s for s in range(nsec) if rng.random() < 0.4] or [rng.randrange(nsec)]
+    if rng.random() < 0.1:
+        at.append(nsec)
+    cap = Fraction(rng.randrange(1, 12), rng.choice((1, 2)))
+    assert _outcome(prune, fd, xs, at, cap) == _outcome(_reference_prune, fd, xs, at, cap)
+
+
+def _fixed_cases():
+    three = replace(fixtures.three_sheets_domain(), boundary_sectors=frozenset({1, 2}))
+    disk = FiberedDomain(quotient=BranchedSurface((Sector(0, 1, (), True, "disk"),), ()),
+                         vertical_annuli=(), boundary_sectors=frozenset({0}))
+    doc = io.load(DOCS / "complex.json")
+    dname, structures = doc.ensembles["pipeline"]
+    flapped = isolated_boundary_domain()
+    two_flaps = replace(flapped, boundary_sectors=frozenset({0, 3}), quotient=replace(
+        flapped.quotient, sectors=flapped.quotient.sectors + (Sector(3, 1, (), True, "flap2"),)))
+    rng = random.Random(8)
+    return [
+        (flapped, _random_ensemble(rng, flapped, 12)),
+        (two_flaps, _random_ensemble(rng, two_flaps, 12)),
+        (disk, [AdjustedStructure(domain=disk, angle=make_angles([v]), label=f"y{i}")
+                for i, v in enumerate((1, 3, 1, "1/2", 3))]),
+        (three, _random_ensemble(rng, three, 12)),
+        (doc.domains[dname], list(structures)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_prune_matches_reference_on_fixed_domains(case):
+    fd, xs = _fixed_cases()[case]
+    rng = random.Random(case)
+    for ensemble in (xs, xs[::-1], rng.sample(xs, len(xs)), xs[:1], []):
+        assert prune_to_closed(fd, ensemble) == _reference_prune_to_closed(fd, ensemble)
+        for s in range(len(fd.quotient.sectors)):
+            for cap in (Fraction(3, 2), Fraction(100)):
+                assert (_outcome(prune, fd, ensemble, [s], cap)
+                        == _outcome(_reference_prune, fd, ensemble, [s], cap))
+
+
+def test_prune_to_closed_restricts_each_sector_at_most_once(monkeypatch):
+    rng = random.Random(8)
+    b = fixtures.random_track_suspension(rng)
+    while len(b.sectors) < 6:
+        b = fixtures.random_track_suspension(rng)
+    fd = replace(_random_domain(rng, b), boundary_sectors=frozenset({0}))
+    basis = minimal_generators(switch_system(b)).basis
+    base = fixtures.base_structure(fd)
+    xs = [base]
+    for i in range(639):
+        coeffs = [rng.randrange(32) for _ in basis]
+        w = [sum(n * u[j] for n, u in zip(coeffs, basis)) for j in range(len(b.sectors))]
+        xs.append(structure_from_weight(base, w, label=f"x{i}"))
+    expected = _reference_prune_to_closed(fd, xs)
+    calls = []
+
+    def counting(surface, removed):
+        calls.append(removed)
+        return _restrict_surface(surface, removed)
+
+    monkeypatch.setattr(domain, "_restrict_surface", counting)
+    assert prune_to_closed(fd, xs) == expected
+    assert 1 <= len(calls) <= len(b.sectors)

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,36 @@ def test_cli_prune_reports_classes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "terminal classes" in out
+
+
+def test_cli_prune_cap_failure_is_validation_exit(capsys):
+    rc = cli.main(["prune", str(DOCS / "complex.json"), "--cap", "3/2"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out == ("ensemble pipeline: FAIL (structure 'base' has angle 3/2 "
+                   "on boundary sector 0, cap 3/2)\n")
+
+
+def test_cli_prune_passing_cap_prints_the_same(capsys):
+    assert cli.main(["prune", str(DOCS / "complex.json")]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", "2"]) == 0
+    assert capsys.readouterr() == plain
+
+
+def _readme_examples():
+    text = (DOCS.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_examples_run(monkeypatch, capsys):
+    monkeypatch.chdir(DOCS.parent)
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for argv in examples:
+        assert argv[0] == "bsurf"
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 def test_cli_missing_file_is_input_error(capsys):

@@ -71,6 +71,21 @@ def cmd_validate(args) -> int:
     return VALIDATION_FAILURE if failures else OK
 
 
+def _weight(doc, spec: str, surface_name: str):
+    """A weight argument: a weight declared in the document, or comma-separated entries."""
+    if spec in doc.weights:
+        sname, vec = doc.weights[spec]
+        if sname != surface_name:
+            raise io.DocumentError("reference error", f"weight {spec}",
+                                   f"weight belongs to surface {sname}, not {surface_name}")
+        return vec
+    try:
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise io.DocumentError("reference error", f"weight {spec}",
+                               "not a named weight or a comma-separated integer vector")
+
+
 def _the_surface(doc, name):
     if name:
         if name not in doc.surfaces:
@@ -103,7 +118,7 @@ def cmd_hilbert(args) -> int:
 def cmd_carry(args) -> int:
     doc = io.load(args.document)
     name, b = _the_surface(doc, args.surface)
-    w = doc.weight_vector(args.weight, name)
+    w = _weight(doc, args.weight, name)
     carried = surface.carried_surface(b, w)
     print(f"surface {name} weight {','.join(str(x) for x in w)}: "
           f"{len(carried.components)} components, "
@@ -127,9 +142,9 @@ def cmd_lutz(args) -> int:
     for info in infos:
         print(f"generator {info.index} {','.join(str(x) for x in info.weight)}: "
               f"{info.classification.value}")
-    base = doc.weight_vector(args.base, name) if args.base else (0,) * len(b.sectors)
+    base = _weight(doc, args.base, name) if args.base else (0,) * len(b.sectors)
     if args.action == "plan":
-        target = doc.weight_vector(args.target, name)
+        target = _weight(doc, args.target, name)
         try:
             plan = lutz.plan_for(target, base, infos, base_label=args.base or "zero")
         except lutz.RebaseRequired as exc:
@@ -263,7 +278,7 @@ def main(argv=None) -> int:
     except io.DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, KeyError) as exc:

@@ -1,9 +1,10 @@
 """One self-describing JSON document format for the whole pipeline.
 
-Every entity is named; cross-references resolve eagerly at load time and
-all module-level invariants are checked with location-bearing
-diagnostics.  Saving is canonical (sorted keys, fixed indentation) so
-load/save round-trips are byte-exact.
+Each entity's fields are declared once, in the tables below, for both
+``loads`` and ``dumps``.  Loading checks JSON types strictly, rejects unknown
+keys and duplicate names, resolves cross-references and checks module
+invariants, stopping at the first fault with a located ``DocumentError``.
+Saving is canonical (sorted keys, fixed indentation) so round-trips are byte-exact.
 """
 
 from __future__ import annotations
@@ -40,224 +41,269 @@ class ComplexDocument:
     ensembles: dict = field(default_factory=dict)         # name -> (domain name, structures)
     prism_configs: dict = field(default_factory=dict)
 
-    def weight_vector(self, spec: str, surface_name: Optional[str] = None):
-        """Resolve a CLI weight argument: comma-separated entries or a name."""
-        if spec in self.weights:
-            sname, vec = self.weights[spec]
-            if surface_name and sname != surface_name:
-                raise DocumentError("reference error", f"weight {spec}",
-                                    f"weight belongs to surface {sname}, not {surface_name}")
-            return vec
+
+# ---------------------------------------------------------------------------
+# Codecs: ``int``, ``bool`` or ``str``, whose JSON value must have exactly
+# that type, or a pair (decode(value, where, path), encode(value)), where
+# ``where`` names the entity and ``path`` is the JSON path inside it.
+
+
+def _at(where: str, path: str) -> str:
+    return f"{where} {path}" if path else where
+
+
+def _fail(want: str, v, where: str, path: str):
+    got = (f"a list of {len(v)}" if type(v) is list else "an object" if type(v) is dict
+           else json.dumps(v))
+    got = got if len(got) <= 40 else got[:36] + " ..."
+    raise DocumentError("parse error", _at(where, path), f"expected {want}, got {got}")
+
+
+def _list(item, n=None, make=tuple, save=list):
+    """A list of ``item``: ``make`` builds it, ``save`` saves scalars, ``n`` fixes its length."""
+    scalar = item.__class__ is type
+
+    def dec(v, where, path):
+        if type(v) is not list or n is not None and len(v) != n:
+            _fail("list" if n is None else f"{n} items", v, where, path)
+        if scalar:
+            for i, x in enumerate(v):
+                if type(x) is not item:
+                    _fail(item.__name__, x, where, f"{path}[{i}]")
+            return make(v)
+        return make(item[0](x, where, f"{path}[{i}]") for i, x in enumerate(v))
+    return dec, (save if scalar else lambda v: [item[1](x) for x in v])
+
+
+def _map(item):
+    """An object of ``item`` values under any keys, decoded to a dict."""
+    def dec(v, where, path):
+        if type(v) is not dict:
+            _fail("object", v, where, path)
+        return {k: item[0](x, where, f"{path}.{k}") for k, x in v.items()}
+    return dec, lambda m: {k: item[1](x) for k, x in m.items()}
+
+
+def _entity(make, *fields):
+    """An object of fields (key, codec[, default]), built by ``make``; a ValueError
+    it raises is an invariant violation.  Encoding reads attributes or dict items."""
+    fields = {f[0]: (*f[1:], ...)[:2] for f in fields}     # ... marks a required field
+
+    def dec(v, where, path):
+        if type(v) is not dict:
+            _fail("object", v, where, path)
+        if not fields.keys() >= v.keys():
+            unknown = min(v.keys() - fields.keys())
+            raise DocumentError("parse error", _at(where, path), f"unknown field {unknown!r}")
+        kw = {}
+        for key, (codec, default) in fields.items():
+            x = v.get(key, default)
+            if x is ...:
+                raise DocumentError("parse error", _at(where, path), f"missing field {key!r}")
+            if x is not default:    # an absent key (or null for a None default) is not checked
+                sub = f"{path}.{key}" if path else key
+                if codec.__class__ is not type:
+                    x = codec[0](x, where, sub)
+                elif type(x) is not codec:
+                    _fail(codec.__name__, x, where, sub)
+            kw[key] = x
         try:
-            return tuple(int(x) for x in spec.split(","))
-        except ValueError:
-            raise DocumentError("reference error", f"weight {spec}",
-                                "not a named weight or a comma-separated integer vector")
+            return make(**kw)
+        except ValueError as exc:
+            raise DocumentError("invariant violation", _at(where, path), str(exc))
+
+    def enc(obj):
+        get = obj.__getitem__ if type(obj) is dict else obj.__getattribute__
+        return {key: get(key) if codec.__class__ is type else codec[1](get(key))
+                for key, (codec, _) in fields.items()}
+    return dec, enc
 
 
-def _req(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise DocumentError("parse error", where, f"missing field {key!r}")
-    return obj[key]
+_PAIR = _list(int, 2)
+_ENDPOINTS = ((lambda v, where, path: v if v == surface.CLOSED else _PAIR[0](v, where, path)),
+              lambda e: e if e == surface.CLOSED else list(e))
+_SLOTS = _list(_list(int))
+_SIDES = tuple(s.value for s in surface.Side)
+_SIDE = ((lambda v, where, path: surface.Side(v) if v in _SIDES
+          else _fail(" or ".join(_SIDES), v, where, path)), lambda s: s.value)
+_CYCLE_REF = _entity(surface.CycleRef, ("arc", int), ("side", _SIDE), ("along", int, 1))
+_SECTOR = _entity(surface.Sector, ("index", int), ("euler_char", int),
+                  ("boundary_cycles", _list(_list(_CYCLE_REF)), ()),
+                  ("orientable", bool, True), ("name", str, ""))
+_BRANCH_ARC = _entity(surface.BranchArc, ("index", int), ("merged_sector", int),
+                      ("upper_sector", int), ("lower_sector", int),
+                      ("endpoints", _ENDPOINTS, surface.CLOSED),
+                      ("reversed_upper", bool, False), ("reversed_lower", bool, False))
+_TRIPLE_POINT = _entity(surface.TriplePoint, ("index", int), ("arcs", _PAIR))
+_SURFACE = _entity(surface.BranchedSurface, ("name", str, ""), ("sectors", _list(_SECTOR)),
+                   ("branch_arcs", _list(_BRANCH_ARC), ()),
+                   ("triple_points", _list(_TRIPLE_POINT), ()))
+_WEIGHT = _entity(dict, ("name", str), ("surface", str), ("entries", _list(int)))
+_ANNULUS = _entity(domain.VerticalAnnulus, ("index", int), ("arcs", _list(int), ()),
+                   ("concave", _list(bool, 2), (True, True)))
+_DOMAIN = _entity(dict, ("name", str, ""), ("surface", str),
+                  ("vertical_annuli", _list(_ANNULUS), ()),
+                  ("boundary_sectors", _list(int, make=frozenset, save=sorted), frozenset()))
+_FACE = _entity(dict, ("face", str), ("edge_slots", _SLOTS), ("oriented_ccw", bool, True))
+_DIVIDING_SET = _entity(dict, ("face", str), ("arcs", _SLOTS))
+_EDGE = _entity(prisms.EdgeData, ("index", int), ("vertices", _list(str, 2)),
+                ("faces", _list(str, 2)), ("face_edges", _PAIR))
+_TETRAHEDRON = _entity(prisms.Tetrahedron, ("index", str), ("vertices", _list(str)),
+                       ("faces", _list(str)), ("edges", _list(_EDGE)))
+_CROSSING = _entity(prisms.Crossing, ("edge", int), ("face_from", str), ("face_to", str),
+                    ("shift", int))
+_HOLONOMY = _entity(prisms.HolonomyData, ("tet", str), ("crossings", _list(_CROSSING), ()))
+# Exact rationals as str or int; domain.make_angles converts them.
+_RATIONAL = ((lambda v, where, path: v if type(v) is str or type(v) is int
+              else _fail("str or int", v, where, path)), str)
+_STRUCTURE = _entity(dict, ("label", str, None), ("angles", _list(_RATIONAL)))
+_ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _list(_STRUCTURE), ()))
+_VERTICAL_FACE = _entity(prisms.VerticalFace, ("face", str), ("bottom", _PAIR), ("top", _PAIR))
+_PRISM = _entity(prisms.Prism, ("kind", str, "corner:?"),
+                 ("vertical_faces", _list(_VERTICAL_FACE), ()))
+# One tetrahedron of a prism configuration: its PrismSelection and its prisms.
+_TET_PRISMS = _entity(
+    lambda corners, diagonal, **rest: (prisms.PrismSelection(corners, diagonal), rest["prisms"]),
+    ("corners", _list(str, make=frozenset, save=sorted), frozenset()), ("diagonal", int, None),
+    ("prisms", _list(_PRISM), ()))
+_PRISM_CONFIG = _entity(dict, ("name", str), ("tets", _map(_TET_PRISMS)))
 
 
-def _load_surface(data: dict, where: str) -> surface.BranchedSurface:
-    sectors = []
-    for sd in _req(data, "sectors", where):
-        cycles = []
-        for cyc in sd.get("boundary_cycles", ()):
-            cycles.append(tuple(
-                surface.CycleRef(arc=int(r["arc"]), side=surface.Side(r["side"]),
-                                 along=int(r.get("along", 1)))
-                for r in cyc))
-        sectors.append(surface.Sector(
-            index=int(_req(sd, "index", where)),
-            euler_char=int(_req(sd, "euler_char", where)),
-            boundary_cycles=tuple(cycles),
-            orientable=bool(sd.get("orientable", True)),
-            name=sd.get("name", "")))
-    arcs = []
-    for ad in data.get("branch_arcs", ()):
-        ep = ad.get("endpoints", "closed")
-        endpoints = surface.CLOSED if ep == "closed" else (int(ep[0]), int(ep[1]))
-        arcs.append(surface.BranchArc(
-            index=int(_req(ad, "index", where)),
-            merged_sector=int(_req(ad, "merged_sector", where)),
-            upper_sector=int(_req(ad, "upper_sector", where)),
-            lower_sector=int(_req(ad, "lower_sector", where)),
-            endpoints=endpoints,
-            reversed_upper=bool(ad.get("reversed_upper", False)),
-            reversed_lower=bool(ad.get("reversed_lower", False))))
-    tps = tuple(surface.TriplePoint(index=int(td["index"]),
-                                    arcs=(int(td["arcs"][0]), int(td["arcs"][1])))
-                for td in data.get("triple_points", ()))
-    b = surface.BranchedSurface(sectors=tuple(sectors), branch_arcs=tuple(arcs),
-                                triple_points=tps, name=data.get("name", ""))
-    report = surface.validate(b)
-    if not report.ok:
-        v = report.violations[0]
-        raise DocumentError("invariant violation", f"{where} ({v.location})",
-                            f"branched_surface_core rule {v.rule}: {v.detail}")
-    return b
+def _section(word: str, key: str, stem: Optional[str], entity):
+    """Named entities, decoded to {name: (location, value)} and saved sorted by
+    name; names default to ``stem`` + index, or are required if it is None."""
+    def dec(v, _, section):     # located by the section key, then by entity name
+        if type(v) is not list:
+            _fail("list", v, section, "")
+        out = {}
+        for i, item in enumerate(v):
+            if type(item) is not dict:
+                _fail("object", item, f"{section}[{i}]", "")
+            if not stem and key not in item:
+                raise DocumentError("parse error", section, f"missing field {key!r}")
+            name = (item.get(key) or f"{stem}{i}") if stem else item[key]
+            loc = f"{word} {name}" if type(name) is str else f"{section}[{i}]"
+            value = entity[0](item, loc, "")
+            if name in out:
+                raise DocumentError("parse error", loc, "declared twice")
+            out[name] = loc, value
+        return out
+    return dec, lambda named: [entity[1](x) for _, x in sorted(named.items())]
 
 
-def _dump_surface(b: surface.BranchedSurface) -> dict:
-    return {
-        "name": b.name,
-        "sectors": [
-            {"index": s.index, "euler_char": s.euler_char, "orientable": s.orientable,
-             "name": s.name,
-             "boundary_cycles": [
-                 [{"arc": r.arc, "side": r.side.value, "along": r.along} for r in cyc]
-                 for cyc in s.boundary_cycles]}
-            for s in b.sectors],
-        "branch_arcs": [
-            {"index": a.index, "merged_sector": a.merged_sector,
-             "upper_sector": a.upper_sector, "lower_sector": a.lower_sector,
-             "endpoints": "closed" if a.is_closed else list(a.endpoints),
-             "reversed_upper": a.reversed_upper, "reversed_lower": a.reversed_lower}
-            for a in b.branch_arcs],
-        "triple_points": [{"index": t.index, "arcs": list(t.arcs)}
-                          for t in b.triple_points],
-    }
+# Sections are resolved in this order, so each refers only to earlier ones.
+_DOCUMENT = _entity(
+    dict, ("format_version", int),
+    ("branched_surfaces", _section("branched_surface", "name", "surface", _SURFACE), {}),
+    ("weights", _section("weight", "name", None, _WEIGHT), {}),
+    ("fibered_domains", _section("fibered_domain", "name", "domain", _DOMAIN), {}),
+    ("faces", _section("face", "face", None, _FACE), {}),
+    ("dividing_sets", _section("dividing_set on", "face", None, _DIVIDING_SET), {}),
+    ("tetrahedra", _section("tetrahedron", "index", None, _TETRAHEDRON), {}),
+    ("holonomy", _section("holonomy for", "tet", None, _HOLONOMY), {}),
+    ("ensembles", _section("ensemble", "name", None, _ENSEMBLE), {}),
+    ("prism_configurations", _section("prism_configuration", "name", None, _PRISM_CONFIG), {}))
+
+
+def _ref(declared: dict, name: str, where: str, what: str):
+    if name not in declared:
+        raise DocumentError("reference error", where, f"{what} {name} is not declared")
+    return declared[name]
 
 
 def load(path) -> ComplexDocument:
     """Parse and validate a document; diagnostics carry their location."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError("parse error", f"byte {exc.start}", f"invalid UTF-8 ({exc.reason})")
     return loads(text)
+
+
+def _first_violation(report, where: str, module: str):
+    if not report.ok:
+        v = report.violations[0]
+        raise DocumentError("invariant violation", f"{where} ({v.location})",
+                            f"{module} rule {v.rule}: {v.detail}")
 
 
 def loads(text: str) -> ComplexDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError("parse error", f"line {exc.lineno} column {exc.colno}",
-                            exc.msg)
+        raise DocumentError("parse error", f"line {exc.lineno} column {exc.colno}", exc.msg)
+    except (ValueError, RecursionError) as exc:    # an integer too long, or nesting too deep
+        raise DocumentError("parse error", "document", str(exc))
     if not isinstance(raw, dict):
         raise DocumentError("parse error", "document", "top level must be an object")
     version = raw.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DocumentError("parse error", "format_version",
                             f"expected {FORMAT_VERSION}, got {version!r}")
+    raw = _DOCUMENT[0](raw, "document", "")
     doc = ComplexDocument(version=version)
 
-    for sd in raw.get("branched_surfaces", ()):
-        name = sd.get("name") or f"surface{len(doc.surfaces)}"
-        doc.surfaces[name] = _load_surface(sd, f"branched_surface {name}")
+    for name, (where, b) in raw["branched_surfaces"].items():
+        _first_violation(surface.validate(b), where, "branched_surface_core")
+        doc.surfaces[name] = b
 
-    for wd in raw.get("weights", ()):
-        name = _req(wd, "name", "weights")
-        sname = _req(wd, "surface", f"weight {name}")
-        if sname not in doc.surfaces:
-            raise DocumentError("reference error", f"weight {name}",
-                                f"surface {sname} is not declared")
-        vec = tuple(int(x) for x in _req(wd, "entries", f"weight {name}"))
-        b = doc.surfaces[sname]
+    for name, (where, w) in raw["weights"].items():
+        b, vec = _ref(doc.surfaces, w["surface"], where, "surface"), w["entries"]
         if len(vec) != len(b.sectors):
-            raise DocumentError("invariant violation", f"weight {name}",
+            raise DocumentError("invariant violation", where,
                                 f"length {len(vec)} != sector count {len(b.sectors)}")
         if not surface.satisfies_switch(b, vec):
-            raise DocumentError("invariant violation", f"weight {name}",
+            raise DocumentError("invariant violation", where,
                                 "branched_surface_core rule switch-equations: "
                                 "entries violate a switch equation")
-        doc.weights[name] = (sname, vec)
+        doc.weights[name] = (w["surface"], vec)
 
-    for fdd in raw.get("fibered_domains", ()):
-        name = fdd.get("name") or f"domain{len(doc.domains)}"
-        sname = _req(fdd, "surface", f"fibered_domain {name}")
-        if sname not in doc.surfaces:
-            raise DocumentError("reference error", f"fibered_domain {name}",
-                                f"surface {sname} is not declared")
-        annuli = tuple(
-            domain.VerticalAnnulus(index=int(ad["index"]),
-                                   arcs=tuple(int(a) for a in ad.get("arcs", ())),
-                                   concave=tuple(bool(c) for c in ad.get("concave", (True, True))))
-            for ad in fdd.get("vertical_annuli", ()))
-        fd = domain.FiberedDomain(quotient=doc.surfaces[sname],
-                                  vertical_annuli=annuli,
-                                  boundary_sectors=frozenset(int(s) for s in
-                                                             fdd.get("boundary_sectors", ())),
-                                  name=name)
-        report = domain.validate_domain(fd)
-        if not report.ok:
-            v = report.violations[0]
-            raise DocumentError("invariant violation", f"fibered_domain {name} ({v.location})",
-                                f"fibered_domain rule {v.rule}: {v.detail}")
+    for name, (where, d) in raw["fibered_domains"].items():
+        fd = domain.FiberedDomain(quotient=_ref(doc.surfaces, d["surface"], where, "surface"),
+                                  vertical_annuli=d["vertical_annuli"],
+                                  boundary_sectors=d["boundary_sectors"], name=name)
+        _first_violation(domain.validate_domain(fd), where, "fibered_domain")
         doc.domains[name] = fd
 
-    for fd_ in raw.get("faces", ()):
-        fid = _req(fd_, "face", "faces")
-        slots = _req(fd_, "edge_slots", f"face {fid}")
-        if len(slots) != 3:
-            raise DocumentError("invariant violation", f"face {fid}",
+    for fid, (where, f) in raw["faces"].items():
+        if len(f["edge_slots"]) != 3:
+            raise DocumentError("invariant violation", where,
                                 "dividing_set_calculus rule hexagon-edges: three edges required")
         try:
-            doc.faces[fid] = dividing.FaceModel(
-                face=fid, edge_slots=tuple(tuple(int(s) for s in e) for e in slots),
-                oriented_ccw=bool(fd_.get("oriented_ccw", True)))
+            doc.faces[fid] = dividing.FaceModel(**f)
         except ValueError as exc:
-            raise DocumentError("invariant violation", f"face {fid}",
+            raise DocumentError("invariant violation", where,
                                 f"dividing_set_calculus rule slot-order: {exc}")
 
-    for dd in raw.get("dividing_sets", ()):
-        fid = _req(dd, "face", "dividing_sets")
-        if fid not in doc.faces:
-            raise DocumentError("reference error", f"dividing_set on {fid}",
-                                f"face {fid} is not declared")
+    for fid, (where, d) in raw["dividing_sets"].items():
+        face = _ref(doc.faces, fid, where, "face")
         try:
-            doc.dividing_sets[fid] = dividing.DividingSet(
-                face=doc.faces[fid],
-                arcs=tuple(tuple(int(s) for s in a) for a in _req(dd, "arcs", f"dividing_set {fid}")))
+            doc.dividing_sets[fid] = dividing.DividingSet(face=face, arcs=d["arcs"])
         except ValueError as exc:
             msg = str(exc)
             rule = "non-planar dividing set" if "non-planar" in msg else "slot-matching"
-            raise DocumentError("invariant violation", f"dividing_set on {fid}",
+            raise DocumentError("invariant violation", where,
                                 f"dividing_set_calculus rule {rule}: {msg}")
 
-    for td in raw.get("tetrahedra", ()):
-        tid = _req(td, "index", "tetrahedra")
-        edges = tuple(
-            prisms.EdgeData(index=int(ed["index"]),
-                            vertices=tuple(ed["vertices"]),
-                            faces=tuple(ed["faces"]),
-                            face_edges=tuple(int(x) for x in ed["face_edges"]))
-            for ed in _req(td, "edges", f"tetrahedron {tid}"))
-        t = prisms.Tetrahedron(index=tid,
-                               vertices=tuple(_req(td, "vertices", f"tetrahedron {tid}")),
-                               faces=tuple(_req(td, "faces", f"tetrahedron {tid}")),
-                               edges=edges)
+    for tid, (where, t) in raw["tetrahedra"].items():
         problems = prisms.validate_tetrahedron(t, doc.faces)
         if problems:
-            raise DocumentError("invariant violation", f"tetrahedron {tid}",
+            raise DocumentError("invariant violation", where,
                                 f"triangulation_complex rule edge-slot-agreement: {problems[0]}")
         doc.tetrahedra[tid] = t
 
-    for hd in raw.get("holonomy", ()):
-        tid = _req(hd, "tet", "holonomy")
-        if tid not in doc.tetrahedra:
-            raise DocumentError("reference error", f"holonomy for {tid}",
-                                f"tetrahedron {tid} is not declared")
-        crossings = tuple(
-            prisms.Crossing(edge=int(cd["edge"]), face_from=cd["face_from"],
-                            face_to=cd["face_to"], shift=int(cd["shift"]))
-            for cd in hd.get("crossings", ()))
-        doc.holonomy[tid] = prisms.HolonomyData(tet=tid, crossings=crossings)
+    for tid, (where, h) in raw["holonomy"].items():
+        _ref(doc.tetrahedra, tid, where, "tetrahedron")
+        doc.holonomy[tid] = h
 
-    for ed in raw.get("ensembles", ()):
-        name = _req(ed, "name", "ensembles")
-        dname = _req(ed, "domain", f"ensemble {name}")
-        if dname not in doc.domains:
-            raise DocumentError("reference error", f"ensemble {name}",
-                                f"fibered_domain {dname} is not declared")
-        fd = doc.domains[dname]
+    for name, (where, e) in raw["ensembles"].items():
+        fd = _ref(doc.domains, e["domain"], where, "fibered_domain")
         structures = []
-        for sd in ed.get("structures", ()):
-            label = sd.get("label", f"{name}[{len(structures)}]")
+        for i, sd in enumerate(e["structures"]):
+            label = f"{name}[{i}]" if sd["label"] is None else sd["label"]
             try:
-                angles = domain.make_angles(_req(sd, "angles", label))
-                structures.append(domain.AdjustedStructure(domain=fd, angle=angles,
-                                                           label=label))
+                structures.append(domain.AdjustedStructure(
+                    domain=fd, angle=domain.make_angles(sd["angles"]), label=label))
             except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError("invariant violation", f"structure {label}",
                                     f"fibered_domain rule positive-angles: {exc}")
@@ -268,32 +314,14 @@ def loads(text: str) -> ComplexDocument:
                 raise DocumentError("invariant violation",
                                     f"ensemble {name} structure {x.label}",
                                     f"fibered_domain rule adjacency-coherence: {exc}")
-        doc.ensembles[name] = (dname, tuple(structures))
+        doc.ensembles[name] = (e["domain"], tuple(structures))
 
-    for pd in raw.get("prism_configurations", ()):
-        name = _req(pd, "name", "prism_configurations")
-        selections = {}
-        prisms_by_tet = {}
-        for tid, sd in _req(pd, "tets", f"prism_configuration {name}").items():
-            if tid not in doc.tetrahedra:
-                raise DocumentError("reference error", f"prism_configuration {name}",
-                                    f"tetrahedron {tid} is not declared")
-            diag = sd.get("diagonal")
-            selections[tid] = prisms.PrismSelection(
-                corners=frozenset(sd.get("corners", ())),
-                diagonal=None if diag is None else int(diag))
-            plist = []
-            for pr in sd.get("prisms", ()):
-                vfs = tuple(
-                    prisms.VerticalFace(face=v["face"],
-                                        bottom=tuple(int(x) for x in v["bottom"]),
-                                        top=tuple(int(x) for x in v["top"]))
-                    for v in pr.get("vertical_faces", ()))
-                plist.append(prisms.Prism(kind=pr.get("kind", "corner:?"),
-                                          vertical_faces=vfs))
-            prisms_by_tet[tid] = tuple(plist)
-        doc.prism_configs[name] = prisms.PrismConfiguration(selections=selections,
-                                                            prisms=prisms_by_tet)
+    for name, (where, pc) in raw["prism_configurations"].items():
+        for tid in pc["tets"]:
+            _ref(doc.tetrahedra, tid, where, "tetrahedron")
+        doc.prism_configs[name] = prisms.PrismConfiguration(
+            selections={tid: sel for tid, (sel, _) in pc["tets"].items()},
+            prisms={tid: ps for tid, (_, ps) in pc["tets"].items()})
 
     return doc
 
@@ -307,52 +335,22 @@ def _surface_name(doc: ComplexDocument, fd, domain_name: str) -> str:
 
 
 def dumps(doc: ComplexDocument) -> str:
-    raw = {
-        "format_version": doc.version,
-        "branched_surfaces": [_dump_surface(b) for _, b in sorted(doc.surfaces.items())],
-        "weights": [{"name": n, "surface": s, "entries": list(v)}
-                    for n, (s, v) in sorted(doc.weights.items())],
-        "fibered_domains": [
-            {"name": name, "surface": _surface_name(doc, fd, name),
-             "vertical_annuli": [{"index": a.index, "arcs": list(a.arcs),
-                                  "concave": list(a.concave)} for a in fd.vertical_annuli],
-             "boundary_sectors": sorted(fd.boundary_sectors)}
-            for name, fd in sorted(doc.domains.items())],
-        "faces": [{"face": f.face, "edge_slots": [list(e) for e in f.edge_slots],
-                   "oriented_ccw": f.oriented_ccw}
-                  for _, f in sorted(doc.faces.items())],
-        "dividing_sets": [{"face": fid, "arcs": [list(a) for a in d.arcs]}
-                          for fid, d in sorted(doc.dividing_sets.items())],
-        "tetrahedra": [
-            {"index": t.index, "vertices": list(t.vertices), "faces": list(t.faces),
-             "edges": [{"index": e.index, "vertices": list(e.vertices),
-                        "faces": list(e.faces), "face_edges": list(e.face_edges)}
-                       for e in t.edges]}
-            for _, t in sorted(doc.tetrahedra.items())],
-        "holonomy": [
-            {"tet": tid, "crossings": [
-                {"edge": c.edge, "face_from": c.face_from, "face_to": c.face_to,
-                 "shift": c.shift} for c in h.crossings]}
-            for tid, h in sorted(doc.holonomy.items())],
-        "ensembles": [
-            {"name": name, "domain": dname,
-             "structures": [{"label": x.label,
-                             "angles": [str(a) for a in x.angle.values]}
-                            for x in xs]}
-            for name, (dname, xs) in sorted(doc.ensembles.items())],
-        "prism_configurations": [
-            {"name": name,
-             "tets": {tid: {"corners": sorted(cfg.selections[tid].corners),
-                            "diagonal": cfg.selections[tid].diagonal,
-                            "prisms": [
-                                {"kind": p.kind,
-                                 "vertical_faces": [
-                                     {"face": v.face, "bottom": list(v.bottom),
-                                      "top": list(v.top)} for v in p.vertical_faces]}
-                                for p in cfg.prisms.get(tid, ())]}
-                      for tid in sorted(cfg.selections)}}
-            for name, cfg in sorted(doc.prism_configs.items())],
-    }
+    """Canonical text; names and cross-references fill fields the values lack."""
+    raw = _DOCUMENT[1](dict(
+        format_version=doc.version, branched_surfaces=doc.surfaces, faces=doc.faces,
+        tetrahedra=doc.tetrahedra,
+        weights={n: dict(name=n, surface=s, entries=v) for n, (s, v) in doc.weights.items()},
+        fibered_domains={n: dict(vars(fd), name=n, surface=_surface_name(doc, fd, n))
+                         for n, fd in doc.domains.items()},
+        dividing_sets={fid: dict(vars(d), face=fid) for fid, d in doc.dividing_sets.items()},
+        holonomy={tid: dict(vars(h), tet=tid) for tid, h in doc.holonomy.items()},
+        ensembles={n: dict(name=n, domain=dn, structures=[dict(vars(x), angles=x.angle.values)
+                                                          for x in xs])
+                   for n, (dn, xs) in doc.ensembles.items()},
+        prism_configurations={
+            n: dict(name=n, tets={tid: dict(vars(sel), prisms=cfg.prisms.get(tid, ()))
+                                  for tid, sel in cfg.selections.items()})
+            for n, cfg in doc.prism_configs.items()}))
     return json.dumps(raw, indent=1, sort_keys=True) + "\n"
 
 

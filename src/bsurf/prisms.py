@@ -59,12 +59,18 @@ def validate_tetrahedron(t: Tetrahedron, face_models: dict[str, FaceModel]) -> l
     for f in t.faces:
         if f not in face_models:
             problems.append(f"tetrahedron {t.index}: face {f} has no model")
+    if sorted(e.index for e in t.edges) != list(range(len(t.edges))):
+        problems.append(f"tetrahedron {t.index}: edge indices must be 0 to {len(t.edges) - 1}, "
+                        "each once")
     for e in t.edges:
         for f in e.faces:
             if f not in t.faces:
                 problems.append(f"tetrahedron {t.index} edge {e.index}: face {f} not on this tetrahedron")
         if len(set(e.faces)) != 2:
             problems.append(f"tetrahedron {t.index} edge {e.index}: needs two distinct faces")
+            continue
+        if not all(k in (0, 1, 2) for k in e.face_edges):
+            problems.append(f"tetrahedron {t.index} edge {e.index}: face edges must be 0, 1 or 2")
             continue
         if all(f in face_models for f in e.faces):
             n0 = len(face_models[e.faces[0]].edge_slots[e.face_edges[0]])
@@ -477,7 +483,7 @@ def validate_holonomy(h: HolonomyData, t: Tetrahedron,
             continue
         try:
             val = holonomy(h, c, t)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:   # missing data, or a circuit that does not close
             findings.append(HolonomyFinding(c, None, "incomplete", str(exc)))
             continue
         if val == -1:

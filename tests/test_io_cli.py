@@ -1,8 +1,12 @@
+import copy
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bsurf import cli, fixtures, io
 
@@ -71,7 +75,12 @@ def _theta_doc():
 def test_round_trip_is_byte_exact():
     for name in ("three_sheets.json", "theta.json", "complex.json"):
         text = (DOCS / name).read_text(encoding="utf-8")
-        assert io.dumps(io.loads(text)) == text
+        doc = io.loads(text)
+        assert io.dumps(doc) == text
+        for section, entities in vars(doc).items():     # saved in name order, not dict order
+            if isinstance(entities, dict):
+                setattr(doc, section, dict(reversed(entities.items())))
+        assert io.dumps(doc) == text
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +203,19 @@ def test_cli_missing_file_is_input_error(capsys):
     assert rc == 1
 
 
+def test_cli_directory_is_one_line_input_error(tmp_path, capsys):
+    assert cli.main(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_non_utf8_document_is_a_parse_error_at_its_byte(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": 1, "x": "\xff"}')
+    with pytest.raises(io.DocumentError) as err:
+        io.load(path)
+    assert str(err.value) == "parse error at byte 28: invalid UTF-8 (invalid start byte)"
+
+
 def test_cli_graph_export(tmp_path, capsys):
     out_path = tmp_path / "graph.txt"
     rc = cli.main(["carry", str(DOCS / "theta.json"), "--surface", "theta",
@@ -233,3 +255,161 @@ def test_cli_lutz_plan_rebase_failure_is_validation_exit(capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "re-base required" in out
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: strict types, located errors, never a traceback
+
+SHIPPED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(DOCS.glob("*.json"))}
+LOCATED = re.compile(r"^error: (parse error|reference error|invariant violation) at .+: .+")
+
+
+def _json_paths(x, path=()):
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _json_paths(v, path + (k,))
+
+
+def _mutate(doc, path, change):
+    """Drop, shorten, empty or replace the value at ``path``; skip a path an
+    earlier change removed."""
+    try:
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        value = parent[path[-1]]
+    except (KeyError, IndexError, TypeError):
+        return
+    if not isinstance(parent, (dict, list)):    # a string put there by an earlier change
+        return
+    if change == "drop":
+        del parent[path[-1]]
+    elif change in ("shorten", "empty"):
+        if isinstance(value, list):
+            del value[len(value) - 1 if change == "shorten" else 0:]
+    else:
+        parent[path[-1]] = copy.deepcopy(change)
+
+
+def _validate(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["validate", str(path)])
+    return rc, capsys.readouterr().err
+
+
+SURFACE = ("branched_surfaces", 0)
+ANGLES = ("ensembles", 0, "structures", 0, "angles")
+
+
+@pytest.mark.parametrize("name, path, change, err", [
+    ("theta", SURFACE + ("sectors",), 5,
+     "parse error at branched_surface theta sectors: expected list, got 5"),
+    ("theta", SURFACE + ("sectors", 0, "boundary_cycles", 0, 0), None,
+     "parse error at branched_surface theta sectors[0].boundary_cycles[0][0]: "
+     "expected object, got null"),
+    ("theta", ("branched_surfaces",), 1, "parse error at branched_surfaces: expected list, got 1"),
+    ("theta", ("weights", 0, "entries"), 5, "parse error at weight both entries: expected list, got 5"),
+    ("theta", ("weights", 0, "entries"), [0.0, 1, 1],
+     "parse error at weight both entries[0]: expected int, got 0.0"),
+    ("complex", ANGLES, [None, 1, 1],
+     "parse error at ensemble pipeline structures[0].angles[0]: expected str or int, got null"),
+    ("complex", ANGLES, 5,
+     "parse error at ensemble pipeline structures[0].angles: expected list, got 5"),
+    ("theta", SURFACE + ("branch_arcs", 0, "endpoints"), [1],
+     "parse error at branched_surface theta branch_arcs[0].endpoints: "
+     "expected 2 items, got a list of 1"),
+    ("theta", SURFACE + ("sectors", 0, "boundary_cycles", 0, 0, "arc"), "drop",
+     "parse error at branched_surface theta sectors[0].boundary_cycles[0][0]: "
+     "missing field 'arc'"),
+    ("theta", SURFACE + ("sectors", 0, "orientable"), "no",
+     "parse error at branched_surface theta sectors[0].orientable: expected bool, got \"no\""),
+    ("theta", ("weights", 0, "name"), "drop", "parse error at weights: missing field 'name'"),
+    ("complex", ("tetrahedra", 0, "edges", 0, "face_edges", 0), 7,
+     "invariant violation at tetrahedron G: triangulation_complex rule edge-slot-agreement: "
+     "tetrahedron G edge 0: face edges must be 0, 1 or 2"),
+    ("complex", ("tetrahedra", 0, "edges", 4, "index"), 3,
+     "invariant violation at tetrahedron G: triangulation_complex rule edge-slot-agreement: "
+     "tetrahedron G: edge indices must be 0 to 5, each once"),
+    ("complex", ("prism_configurations", 0, "tets", "G", "diagonal"), 5,
+     "invariant violation at prism_configuration corner tets.G: "
+     "diagonal prism must be 0, 1, 2 or None"),
+])
+def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
+    doc = copy.deepcopy(SHIPPED[name])
+    _mutate(doc, path, change)
+    assert _validate(doc, tmp_path, capsys) == (1, f"error: {err}\n")
+
+
+def test_cli_validate_reports_a_circuit_that_does_not_close(tmp_path, capsys):
+    doc = copy.deepcopy(SHIPPED["complex"])
+    doc["tetrahedra"][0]["edges"][0]["faces"][0] = "F234"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert ("holonomy G: FAIL\n  circuit at s2: incomplete (circuit around s2 does not close up: "
+            "edge 4 does not return to face F123)\n") in capsys.readouterr().out
+
+
+def test_structure_labels_default_to_their_place_in_the_ensemble():
+    raw = copy.deepcopy(SHIPPED["complex"])
+    structures = raw["ensembles"][0]["structures"]
+    del structures[0]["label"]
+    structures[1]["label"] = None
+    structures[2]["label"] = ""
+    _, loaded = io.loads(json.dumps(raw)).ensembles["pipeline"]
+    assert [x.label for x in loaded] == ["pipeline[0]", "pipeline[1]", ""]
+
+
+def test_duplicate_names_rejected():
+    raw = copy.deepcopy(SHIPPED["complex"])
+    raw["faces"].append(copy.deepcopy(raw["faces"][0]))
+    with pytest.raises(io.DocumentError, match="^parse error at face F123: declared twice$"):
+        io.loads(json.dumps(raw))
+    raw = copy.deepcopy(SHIPPED["theta"])
+    raw["branched_surfaces"][1]["name"] = "theta"
+    with pytest.raises(io.DocumentError, match="^parse error at branched_surface theta: declared"):
+        io.loads(json.dumps(raw))
+
+
+def test_unknown_keys_rejected_at_every_level():
+    with pytest.raises(io.DocumentError, match="^parse error at document: unknown field "
+                                               "'branched_surface'$"):
+        io.loads(json.dumps({"format_version": 1, "branched_surface": []}))
+    raw = copy.deepcopy(SHIPPED["complex"])
+    raw["tetrahedra"][0]["edges"][2]["face"] = "F123"
+    with pytest.raises(io.DocumentError, match=r"^parse error at tetrahedron G edges\[2\]: "
+                                               "unknown field 'face'$"):
+        io.loads(json.dumps(raw))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_format_version_must_be_the_integer_one(version):
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(json.dumps({"format_version": version}))
+    assert str(err.value) == f"parse error at format_version: expected 1, got {version!r}"
+
+
+CHANGES = st.sampled_from(["drop", "shorten", "empty", None, 0, -1, 7, 1.5, "x", "", True,
+                           False, [], {}, [1], {"a": 1}])
+
+
+@st.composite
+def _mutated_documents(draw):
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    paths = st.sampled_from(list(_json_paths(SHIPPED[name])))
+    doc = copy.deepcopy(SHIPPED[name])
+    for path, change in draw(st.lists(st.tuples(paths, CHANGES), min_size=1, max_size=3)):
+        _mutate(doc, path, change)
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_documents())
+def test_mutated_documents_never_escape_a_traceback(tmp_path, capsys, doc):
+    rc, err = _validate(doc, tmp_path, capsys)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert LOCATED.match(err) and err.count("\n") == 1, err

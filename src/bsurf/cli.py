@@ -120,14 +120,20 @@ def cmd_carry(args) -> int:
     name, b = _the_surface(doc, args.surface)
     w = _weight(doc, args.weight, name)
     carried = surface.carried_surface(b, w)
-    print(f"surface {name} weight {','.join(str(x) for x in w)}: "
-          f"{len(carried.components)} components, "
-          f"chi {carried.euler_char}, fully carried: "
-          f"{surface.fully_carried(b, w)}")
+    lines = [f"surface {name} weight {','.join(str(x) for x in w)}: "
+             f"{len(carried.components)} components, "
+             f"chi {carried.euler_char}, fully carried: "
+             f"{surface.fully_carried(b, w)}"]
+    tails = {}    # one formatted tail per distinct (chi, orientable, class)
     for c in carried.components:
-        print(f"  component {c.index}: chi {c.euler_char}, "
-              f"{'orientable' if c.orientable else 'non-orientable'}, "
-              f"{c.classification.value}")
+        key = c.euler_char, c.orientable, c.classification
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (f"chi {c.euler_char}, "
+                                 f"{'orientable' if c.orientable else 'non-orientable'}, "
+                                 f"{c.classification.value}")
+        lines.append(f"  component {c.index}: {tail}")
+    print("\n".join(lines))
     if args.export_graph:
         _write_graph(args.export_graph, surface.carried_adjacency_graph(carried))
     return OK

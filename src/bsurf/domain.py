@@ -121,8 +121,20 @@ class AngleFunction:
         return len(self.values)
 
 
+def exact_angle(v) -> Fraction:
+    """One angle as a Fraction.  A string must have the integer or p/q form,
+    with an optional sign, that ``str`` of a Fraction writes; any other
+    string (an exponent, a decimal point, spaces, underscores) is rejected
+    before ``Fraction`` parses it, so ``"1e1000000"`` costs nothing."""
+    if type(v) is str:
+        p, slash, q = (v[1:] if v[:1] in ("+", "-") else v).partition("/")
+        if not (p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit())):
+            raise ValueError(f"angle {v!r} is not an integer or p/q")
+    return Fraction(v)
+
+
 def make_angles(values: Sequence) -> AngleFunction:
-    return AngleFunction(values=tuple(Fraction(v) for v in values))
+    return AngleFunction(values=tuple(exact_angle(v) for v in values))
 
 
 @dataclass(frozen=True)

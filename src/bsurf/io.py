@@ -2,8 +2,9 @@
 
 Each entity's fields are declared once, in the tables below, for both
 ``loads`` and ``dumps``.  Loading checks JSON types strictly, rejects unknown
-keys and duplicate names, resolves cross-references and checks module
-invariants, stopping at the first fault with a located ``DocumentError``.
+keys, keys repeated in one object and duplicate names, resolves
+cross-references and checks module invariants, stopping at the first fault
+with a located ``DocumentError``.
 Saving is canonical (sorted keys, fixed indentation) so round-trips are byte-exact.
 """
 
@@ -52,7 +53,25 @@ def _at(where: str, path: str) -> str:
     return f"{where} {path}" if path else where
 
 
+class _Repeated(dict):
+    """A JSON object in which the key ``self.key`` appears more than once;
+    every codec rejects it, and ``_fail`` names the key."""
+
+
+def _object(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of ``loads``: without it ``json`` keeps the
+    last value under a repeated key and drops the others silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        obj = _Repeated(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def _fail(want: str, v, where: str, path: str):
+    if type(v) is _Repeated:
+        raise DocumentError("parse error", _at(where, path), f"repeated key {v.key!r}")
     got = (f"a list of {len(v)}" if type(v) is list else "an object" if type(v) is dict
            else json.dumps(v))
     got = got if len(got) <= 40 else got[:36] + " ..."
@@ -82,6 +101,16 @@ def _map(item):
             _fail("object", v, where, path)
         return {k: item[0](x, where, f"{path}.{k}") for k, x in v.items()}
     return dec, lambda m: {k: item[1](x) for k, x in m.items()}
+
+
+def _angle(v, where, path):
+    """An exact angle: an int, or a str of the integer or p/q form that ``str`` writes."""
+    if type(v) is not str and type(v) is not int:
+        _fail("str or int", v, where, path)
+    try:
+        return domain.exact_angle(v)
+    except (ValueError, ZeroDivisionError):
+        _fail("integer or p/q", v, where, path)
 
 
 def _entity(make, *fields):
@@ -153,10 +182,7 @@ _TETRAHEDRON = _entity(prisms.Tetrahedron, ("index", str), ("vertices", _list(st
 _CROSSING = _entity(prisms.Crossing, ("edge", int), ("face_from", str), ("face_to", str),
                     ("shift", int))
 _HOLONOMY = _entity(prisms.HolonomyData, ("tet", str), ("crossings", _list(_CROSSING), ()))
-# Exact rationals as str or int; domain.make_angles converts them.
-_RATIONAL = ((lambda v, where, path: v if type(v) is str or type(v) is int
-              else _fail("str or int", v, where, path)), str)
-_STRUCTURE = _entity(dict, ("label", str, None), ("angles", _list(_RATIONAL)))
+_STRUCTURE = _entity(dict, ("label", str, None), ("angles", _list((_angle, str))))
 _ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _list(_STRUCTURE), ()))
 _VERTICAL_FACE = _entity(prisms.VerticalFace, ("face", str), ("bottom", _PAIR), ("top", _PAIR))
 _PRISM = _entity(prisms.Prism, ("kind", str, "corner:?"),
@@ -229,7 +255,7 @@ def _first_violation(report, where: str, module: str):
 
 def loads(text: str) -> ComplexDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError("parse error", f"line {exc.lineno} column {exc.colno}", exc.msg)
     except (ValueError, RecursionError) as exc:    # an integer too long, or nesting too deep
@@ -303,8 +329,8 @@ def loads(text: str) -> ComplexDocument:
             label = f"{name}[{i}]" if sd["label"] is None else sd["label"]
             try:
                 structures.append(domain.AdjustedStructure(
-                    domain=fd, angle=domain.make_angles(sd["angles"]), label=label))
-            except (ValueError, ZeroDivisionError) as exc:
+                    domain=fd, angle=domain.AngleFunction(sd["angles"]), label=label))
+            except ValueError as exc:
                 raise DocumentError("invariant violation", f"structure {label}",
                                     f"fibered_domain rule positive-angles: {exc}")
         for x in structures[1:]:

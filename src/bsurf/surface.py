@@ -13,6 +13,10 @@ the two merging stacks.  A weight vector determines a carried surface:
 branch arcs.  ``carried_surface`` reads its components, Euler
 characteristics and orientability off one pass over the arcs, with
 union-finds on integer face and corner ids, without building the cells.
+Each arc glues two runs of sheet copies, the upper and the lower stack
+against the merged one, so the pass steps through ranges of ids and
+fixes a run's flip and corner offsets once, not once per copy;
+``carried_adjacency_graph`` walks the same runs.
 """
 
 from __future__ import annotations
@@ -311,21 +315,26 @@ def classify(euler_char: int, orientable: bool) -> Classification:
     return Classification.OTHER
 
 
-def _stack_pairs(arc: BranchArc, w_u: int, w_l: int):
-    """Pairs (merged index k) -> ((role, copy), flip) along one arc.
+def _runs(arc: BranchArc, weights: Sequence[int]):
+    """The two runs of sheet copies glued along an arc, as
+    (other sector, side, merged start, count, reversed).
 
     The merged stack is the upper stack followed by the lower stack,
-    innermost at the single-sheet side; a reversed continuation enters
-    in reversed copy order and flips the transverse co-orientation.
+    innermost at the single-sheet side: merged copy ``start + j`` meets
+    copy j of the other sector, or copy ``count - 1 - j`` where that
+    continuation is reversed, which also flips the transverse
+    co-orientation.
     """
-    for k in range(w_u + w_l):
-        if k < w_u:
-            copy = w_u - 1 - k if arc.reversed_upper else k
-            yield k, (Side.UPPER, copy), arc.reversed_upper
-        else:
-            j = k - w_u
-            copy = w_l - 1 - j if arc.reversed_lower else j
-            yield k, (Side.LOWER, copy), arc.reversed_lower
+    w_u = weights[arc.upper_sector]
+    return ((arc.upper_sector, Side.UPPER, 0, w_u, arc.reversed_upper),
+            (arc.lower_sector, Side.LOWER, w_u, weights[arc.lower_sector], arc.reversed_lower))
+
+
+def _ids(base: int, count: int, step: int, rev: bool) -> range:
+    """Ids ``base + step * c`` of copies c = 0 .. count - 1, last copy first if ``rev``."""
+    if rev:
+        return range(base + (count - 1) * step, base - step, -step)
+    return range(base, base + count * step, step)
 
 
 def _find(parent: list[int], parity: list[int], x: int) -> tuple[int, int]:
@@ -357,17 +366,24 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     consecutive edges; corner j of face (s, c) is ``coff[s] + c *
     ncorner[s] + j``, so the edges of a cycle share corners with no union.
 
-    One pass over the branch arcs glues each merged copy to its merging
-    copy (``_stack_pairs``).  Faces join in a union-find with parity:
-    ``parity[f]`` is the co-orientation flip from f to ``parent[f]``, so a
-    gluing whose flip disagrees with the parities of two faces already
-    joined makes their component non-orientable, as a non-orientable
-    sector does.  Along an arc with endpoints, the corners at both ends
-    join in a second union-find.
+    One pass over the branch arcs glues each arc's two runs (``_runs``):
+    a run zips the range of merged face ids with the range of the other
+    sector's face ids, ascending or, where the continuation is reversed,
+    descending, and likewise the corner bases of both, so the flip and
+    the corner offsets are fixed once per run.  Faces join in a
+    union-find with parity: ``parity[f]`` is the co-orientation flip from
+    f to ``parent[f]``, so a gluing whose flip disagrees with the
+    parities of two faces already joined makes their component
+    non-orientable, as a non-orientable sector does.  Along an arc with
+    endpoints, the corners at both ends join in a second union-find.  A
+    root has parity 0, so a node that is a root or hangs directly under
+    one is read off in place; ``_find`` walks the longer paths.
 
     chi is charged per face: chi of its sector plus its corners, minus
-    one per glued segment and one per corner merge.  A root holds the sum
-    of its component's charges.  Components are numbered in root order.
+    one per arc with endpoints that the sector merges along (each merged
+    copy is glued once there), minus one per corner merge.  A root holds
+    the sum of its component's charges.  Components are numbered in root
+    order.
     """
     weights = tuple(int(w) for w in weights)
     if not satisfies_switch(b, weights):
@@ -377,6 +393,9 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
 
     # (arc, side) -> corner of its face at arc endpoint 0 and at endpoint 1
     ends: dict[tuple[int, Side], tuple[int, int]] = {}
+    segments = [0] * len(b.sectors)
+    for arc in b.branch_arcs:
+        segments[arc.merged_sector] += not arc.is_closed
     off, coff, ncorner = [], [], []
     chi: list[int] = []
     bad: list[bool] = []
@@ -395,7 +414,7 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
         coff.append(nc)
         ncorner.append(n)
         nc += n * w
-        chi += [sec.euler_char + n] * w
+        chi += [sec.euler_char + n - segments[sec.index]] * w
         bad += [not sec.orientable] * w
 
     parent, parity = list(range(len(chi))), [0] * len(chi)
@@ -403,31 +422,51 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     for arc in b.branch_arcs:
         m = arc.merged_sector
         segment = not arc.is_closed
-        for k, (side, copy), flip in _stack_pairs(arc, weights[arc.upper_sector],
-                                                  weights[arc.lower_sector]):
-            o = arc.upper_sector if side is Side.UPPER else arc.lower_sector
-            rx, px = _find(parent, parity, off[m] + k)
-            ry, py = _find(parent, parity, off[o] + copy)
-            if rx != ry:
-                parent[ry] = rx
-                parity[ry] = px ^ py ^ flip
-                chi[rx] += chi[ry]
-                bad[rx] = bad[rx] or bad[ry]
-            elif px ^ py != flip:
-                bad[rx] = True
+        for o, side, start, count, flip in _runs(arc, weights):
+            xs = range(off[m] + start, off[m] + start + count)
+            ys = _ids(off[o], count, 1, flip)
             if segment:
-                chi[rx] -= 1
-                for cm, co in zip(ends[arc.index, Side.MERGED], ends[arc.index, side]):
-                    ca = _find(cparent, cparity, coff[m] + k * ncorner[m] + cm)[0]
-                    cb = _find(cparent, cparity, coff[o] + copy * ncorner[o] + co)[0]
-                    if ca != cb:
-                        cparent[cb] = ca
-                        chi[rx] -= 1
+                (cm0, cm1), (co0, co1) = ends[arc.index, Side.MERGED], ends[arc.index, side]
+                cxs = _ids(coff[m] + start * ncorner[m], count, ncorner[m], False)
+                cys = _ids(coff[o], count, ncorner[o], flip)
+            else:
+                cxs, cys = xs, ys    # no corners: zipped, never read
+            for x, y, cx, cy in zip(xs, ys, cxs, cys):
+                rx, px = parent[x], parity[x]
+                if parent[rx] != rx:
+                    rx, px = _find(parent, parity, x)
+                ry, py = parent[y], parity[y]
+                if parent[ry] != ry:
+                    ry, py = _find(parent, parity, y)
+                if rx != ry:
+                    parent[ry] = rx
+                    parity[ry] = px ^ py ^ flip
+                    chi[rx] += chi[ry]
+                    if bad[ry]:
+                        bad[rx] = True
+                elif px ^ py != flip:
+                    bad[rx] = True
+                if segment:
+                    for ca, cb in ((cx + cm0, cy + co0), (cx + cm1, cy + co1)):
+                        ra, rb = cparent[ca], cparent[cb]
+                        if cparent[ra] != ra:
+                            ra = _find(cparent, cparity, ca)[0]
+                        if cparent[rb] != rb:
+                            rb = _find(cparent, cparity, cb)[0]
+                        if ra != rb:
+                            cparent[rb] = ra
+                            chi[rx] -= 1
 
-    roots = [f for f in range(len(chi)) if parent[f] == f]
-    components = tuple(Component(i, chi[r], not bad[r], classify(chi[r], not bad[r]))
-                       for i, r in enumerate(roots))
-    return CarriedSurface(source=b, weight=weights, components=components)
+    kinds: dict[tuple[int, bool], Classification] = {}
+    components = []
+    for f, r in enumerate(parent):
+        if f == r:
+            key = chi[f], not bad[f]
+            kind = kinds.get(key)
+            if kind is None:
+                kind = kinds[key] = classify(*key)
+            components.append(Component(len(components), *key, kind))
+    return CarriedSurface(source=b, weight=weights, components=tuple(components))
 
 
 def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
@@ -459,20 +498,23 @@ def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:
 
 
 def carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, list[str]]]:
-    """Adjacency list of sheet copies of a carried surface."""
-    b = s.source
-    weights = s.weight
-    edges: dict[str, set[str]] = {}
+    """Adjacency list of sheet copies of a carried surface, sorted by name.
+
+    Face ids and runs are those of ``carried_surface``; each face is named
+    ``s{sector}c{copy}`` once, and the names are sorted only at the end.
+    """
+    b, weights = s.source, s.weight
+    names: list[str] = []
+    off = []
     for sec in b.sectors:
-        for c in range(weights[sec.index]):
-            edges.setdefault(f"s{sec.index}c{c}", set())
+        off.append(len(names))
+        names += [f"s{sec.index}c{c}" for c in range(weights[sec.index])]
+    nbrs: list[set[int]] = [set() for _ in names]
     for arc in b.branch_arcs:
-        w_u = weights[arc.upper_sector]
-        w_l = weights[arc.lower_sector]
-        for k, (side, copy), _flip in _stack_pairs(arc, w_u, w_l):
-            o_sec = arc.upper_sector if side is Side.UPPER else arc.lower_sector
-            a = f"s{arc.merged_sector}c{k}"
-            bb = f"s{o_sec}c{copy}"
-            edges[a].add(bb)
-            edges[bb].add(a)
-    return [(k, sorted(v)) for k, v in sorted(edges.items())]
+        m = off[arc.merged_sector]
+        for o, _side, start, count, rev in _runs(arc, weights):
+            for x, y in zip(range(m + start, m + start + count), _ids(off[o], count, 1, rev)):
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+    name = names.__getitem__
+    return [(name(f), sorted(map(name, nbrs[f]))) for f in sorted(range(len(names)), key=name)]

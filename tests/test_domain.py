@@ -73,6 +73,18 @@ def test_angles_must_be_positive():
         make_angles([1, 0, 1])
 
 
+def test_angle_strings_in_the_integer_and_fraction_forms():
+    assert make_angles(["3", "3/2", "+1/3", 2, Fraction(5, 2)]).values == (
+        3, Fraction(3, 2), Fraction(1, 3), 2, Fraction(5, 2))
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1.5", " 3/2", "3/2 ", "3_0", "3/", "/2",
+                                  "3/-2", "+-3", "", "+", "\u0663"])
+def test_other_angle_strings_rejected_before_fraction_reads_them(text):
+    with pytest.raises(ValueError, match="is not an integer or p/q$"):
+        make_angles(["3/2", text])
+
+
 def test_weight_of_base_is_zero():
     fd = fixtures.theta_domain()
     base = fixtures.base_structure(fd)

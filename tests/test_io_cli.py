@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsurf import cli, fixtures, io
+from bsurf import cli, fixtures, hilbert, io, surface
+from tests.test_surface import _reference_carried_surface
 
 DOCS = Path(__file__).resolve().parent.parent / "documents"
 
@@ -225,6 +227,52 @@ def test_cli_graph_export(tmp_path, capsys):
     assert any(line.startswith("s2c0") for line in lines)
 
 
+def _reference_carry_out(name, b, w):
+    """`bsurf carry` stdout in its line format, from the reference assembly."""
+    carried = _reference_carried_surface(b, w)
+    lines = [f"surface {name} weight {','.join(str(x) for x in w)}: "
+             f"{len(carried.components)} components, chi {carried.euler_char}, "
+             f"fully carried: {all(x > 0 for x in w)}"]
+    lines += [f"  component {c.index}: chi {c.euler_char}, "
+              f"{'orientable' if c.orientable else 'non-orientable'}, {c.classification.value}"
+              for c in carried.components]
+    return "".join(line + "\n" for line in lines)
+
+
+def _carry_weights(b, coeff_lists):
+    gens = hilbert.minimal_generators(surface.switch_system(b)).basis
+    for coeffs in coeff_lists:
+        w = tuple(sum(n * u[i] for n, u in zip(coeffs, gens)) for i in range(len(b.sectors)))
+        if any(w):
+            yield w
+
+
+@pytest.mark.parametrize("path", sorted(DOCS.glob("*.json")), ids=lambda p: p.stem)
+def test_cli_carry_matches_the_reference_on_shipped_documents(path, capsys):
+    doc = io.load(path)
+    for name, b in doc.surfaces.items():
+        named = [v for s, v in doc.weights.values() if s == name]
+        for w in named + list(_carry_weights(b, [(1,), (0, 1), (2, 3, 1), (5, 0, 7, 2)])):
+            assert cli.main(["carry", str(path), "--surface", name,
+                             "--weight", ",".join(str(x) for x in w)]) == 0
+            assert capsys.readouterr().out == _reference_carry_out(name, b, w)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10 ** 6), coeffs=st.lists(st.integers(0, 9), min_size=1, max_size=8))
+def test_cli_carry_matches_the_reference_on_random_surfaces(tmp_path, capsys, seed, coeffs):
+    b = fixtures.random_branched_surface(random.Random(seed))
+    doc = io.ComplexDocument()
+    doc.surfaces[b.name] = b
+    path = tmp_path / "random.json"
+    io.save(doc, path)
+    for w in _carry_weights(b, [coeffs]):
+        assert cli.main(["carry", str(path), "--surface", b.name,
+                         "--weight", ",".join(str(x) for x in w)]) == 0
+        assert capsys.readouterr().out == _reference_carry_out(b.name, b, w)
+
+
 def test_incoherent_ensemble_rejected(tmp_path):
     raw = json.loads((DOCS / "three_sheets.json").read_text())
     bad = raw["ensembles"][0]["structures"][1]
@@ -389,6 +437,30 @@ def test_format_version_must_be_the_integer_one(version):
     with pytest.raises(io.DocumentError) as err:
         io.loads(json.dumps({"format_version": version}))
     assert str(err.value) == f"parse error at format_version: expected 1, got {version!r}"
+
+
+def test_repeated_key_is_a_located_parse_error():
+    text = (DOCS / "theta.json").read_text(encoding="utf-8")
+    assert text.count('"name": "theta"') == 1
+    text = text.replace('"name": "theta"', '"name": "theta", "name": "other"')
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(text)
+    assert str(err.value) == "parse error at branched_surfaces[0]: repeated key 'name'"
+    doc = copy.deepcopy(SHIPPED["complex"])
+    text = json.dumps(doc).replace('"shift": ', '"shift": 0, "shift": ', 1)
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(text)
+    assert str(err.value) == "parse error at holonomy for G crossings[0]: repeated key 'shift'"
+
+
+@pytest.mark.parametrize("angle", ["1e1000000", "1.5", " 3/2", "3_0", "1/0"])
+def test_angle_outside_the_saved_forms_is_a_parse_error_at_the_angle(angle):
+    doc = copy.deepcopy(SHIPPED["complex"])
+    doc["ensembles"][0]["structures"][1]["angles"][1] = angle
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(json.dumps(doc))
+    assert str(err.value) == ("parse error at ensemble pipeline structures[1].angles[1]: "
+                              f"expected integer or p/q, got {json.dumps(angle)}")
 
 
 CHANGES = st.sampled_from(["drop", "shorten", "empty", None, 0, -1, 7, 1.5, "x", "", True,

@@ -13,7 +13,7 @@ from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, CarriedSurface, Classification,
                            Component, CycleRef, Sector, Side, TriplePoint, _find,
-                           _sector_refs, _stack_pairs, carried_surface, classify,
+                           _sector_refs, carried_adjacency_graph, carried_surface, classify,
                            fully_carried, klein_double, satisfies_switch, switch_system,
                            switch_violation, validate)
 
@@ -288,7 +288,8 @@ def test_chi_additivity_on_fixture_family(data):
 # carried_surface against the two-pass reference
 
 # The dict-keyed union-finds, sign BFS and vertex-root scan that
-# carried_surface replaced, kept as the oracle.
+# carried_surface replaced, the per-copy stack walk, and the string-keyed
+# carried_adjacency_graph, kept as oracles.
 
 
 class _UnionFind:
@@ -317,6 +318,21 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
+def _stack_pairs(arc: BranchArc, w_u: int, w_l: int):
+    """Pairs (merged index k) -> ((role, copy), flip) along one arc.
+
+    The merged stack is the upper stack followed by the lower stack,
+    innermost at the single-sheet side; a reversed continuation enters
+    in reversed copy order and flips the transverse co-orientation.
+    """
+    for k in range(w_u + w_l):
+        if k < w_u:
+            copy = w_u - 1 - k if arc.reversed_upper else k
+            yield k, (Side.UPPER, copy), arc.reversed_upper
+        else:
+            j = k - w_u
+            copy = w_l - 1 - j if arc.reversed_lower else j
+            yield k, (Side.LOWER, copy), arc.reversed_lower
 
 
 def _reference_carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurface:
@@ -445,22 +461,67 @@ def _reference_carried_surface(b: BranchedSurface, weights: Sequence[int]) -> Ca
     return CarriedSurface(source=b, weight=weights, components=tuple(components))
 
 
-def _polygon_wedge(rng: random.Random, n: int) -> BranchedSurface:
+def _reference_carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, list[str]]]:
+    """Adjacency list of sheet copies of a carried surface."""
+    b = s.source
+    weights = s.weight
+    edges: dict[str, set[str]] = {}
+    for sec in b.sectors:
+        for c in range(weights[sec.index]):
+            edges.setdefault(f"s{sec.index}c{c}", set())
+    for arc in b.branch_arcs:
+        w_u = weights[arc.upper_sector]
+        w_l = weights[arc.lower_sector]
+        for k, (side, copy), _flip in _stack_pairs(arc, w_u, w_l):
+            o_sec = arc.upper_sector if side is Side.UPPER else arc.lower_sector
+            a = f"s{arc.merged_sector}c{k}"
+            bb = f"s{o_sec}c{copy}"
+            edges[a].add(bb)
+            edges[bb].add(a)
+    return [(k, sorted(v)) for k, v in sorted(edges.items())]
+
+
+def _polygon_wedge(rng: random.Random, n: int, mixed: bool = False) -> BranchedSurface:
     """Three sheets along n segment arcs that close up through n triple points.
 
     Arc i runs from triple point i to triple point i + 1, so each sector
     has one boundary cycle of n edges and n corners.  Reversed
     continuations glue a merged copy to different copies along
-    different arcs, which links the corners of many copies.
+    different arcs, which links the corners of many copies.  With
+    ``mixed``, each arc draws which sector is merged, upper and lower, so
+    a sector merged along one arc is a merging sheet along another and
+    corner classes grow into chains, not only stars around a merged corner.
     """
     chis = [rng.randrange(-1, 2) for _ in range(3)]
-    arcs = tuple(BranchArc(i, 0, 1, 2, endpoints=(i, (i + 1) % n),
+    roles = [rng.sample(range(3), 3) if mixed else [0, 1, 2] for _ in range(n)]
+    arcs = tuple(BranchArc(i, *roles[i], endpoints=(i, (i + 1) % n),
                            reversed_upper=rng.random() < 0.5,
                            reversed_lower=rng.random() < 0.5) for i in range(n))
     tps = tuple(TriplePoint(t, ((t - 1) % n, t)) for t in range(n))
-    sectors = tuple(Sector(s, chis[s], (tuple(CycleRef(i, side) for i in range(n)),))
-                    for s, side in enumerate((Side.MERGED, Side.UPPER, Side.LOWER)))
+    sides = (Side.MERGED, Side.UPPER, Side.LOWER)
+    sectors = tuple(Sector(s, chis[s], (tuple(CycleRef(i, sides[roles[i].index(s)])
+                                              for i in range(n)),))
+                    for s in range(3))
     return BranchedSurface(sectors, arcs, tps, name=f"polygon-wedge-{n}")
+
+
+def _crossed_loops(rng: random.Random) -> BranchedSurface:
+    """Four sheets along two loops at one triple point, x0 = x1 + x2 and
+    x3 = x0 + x1.
+
+    Sector 0 is merged along loop 0 and the upper sheet along loop 1, and
+    sector 1 is a merging sheet along both, so one corner class is joined
+    by three unions in turn and its tree grows past depth one.
+    """
+    chis = [rng.randrange(-1, 2) for _ in range(4)]
+    a, b = (BranchArc(i, m, u, lo, endpoints=(0, 0), reversed_upper=rng.random() < 0.5,
+                      reversed_lower=rng.random() < 0.5)
+            for i, (m, u, lo) in enumerate(((0, 1, 2), (3, 0, 1))))
+    cycles = (((0, Side.MERGED), (1, Side.UPPER)), ((0, Side.UPPER), (1, Side.LOWER)),
+              ((0, Side.LOWER),), ((1, Side.MERGED),))
+    sectors = tuple(Sector(s, chis[s], (tuple(CycleRef(arc, side) for arc, side in cycle),))
+                    for s, cycle in enumerate(cycles))
+    return BranchedSurface(sectors, (a, b), (TriplePoint(0, (0, 1)),), name="crossed-loops")
 
 
 def _redrawn(sec: Sector, turn: bool, shift: int) -> Sector:
@@ -480,10 +541,13 @@ def _redrawn(sec: Sector, turn: bool, shift: int) -> Sector:
 @given(st.data())
 def test_carried_surface_matches_reference(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["fixture", "polygon", "loops"]))
+    if kind == "fixture":
         surf = fixtures.random_branched_surface(rng)
+    elif kind == "polygon":
+        surf = _polygon_wedge(rng, data.draw(st.integers(2, 5)), mixed=data.draw(st.booleans()))
     else:
-        surf = _polygon_wedge(rng, data.draw(st.integers(2, 5)))
+        surf = _crossed_loops(rng)
     # the random fixtures draw only orientable sectors, and give all three
     # sectors of a wedge the same cycle direction
     n = len(surf.sectors)
@@ -515,6 +579,31 @@ def test_carried_surface_matches_reference_on_large_wedges(make):
     w = combine(((1, 1, 0), (1, 0, 1)), (a, 10_000 - a))
     assert sum(w) == 2 * 10 ** 4
     assert carried_surface(surf, w) == _reference_carried_surface(surf, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.integers(0, 6), min_size=1, max_size=8))
+def test_carried_adjacency_graph_matches_reference(seed, coeffs):
+    surf = fixtures.random_branched_surface(random.Random(seed))
+    gens = minimal_generators(switch_system(surf)).basis
+    w = combine(gens, coeffs) if gens else ()
+    if not any(w):
+        return
+    s = carried_surface(surf, w)
+    assert carried_adjacency_graph(s) == _reference_carried_adjacency_graph(s)
+
+
+def test_carried_surface_and_graph_match_reference_on_a_large_two_vertex_wedge():
+    # arcs between two triple points: corner unions at every copy, and the
+    # reversed lower continuation of arc 1 glues its stack in reverse
+    surf = fixtures.random_two_vertex_surface(random.Random(2))
+    arc = dataclasses.replace(surf.branch_arcs[1], reversed_lower=True)
+    surf = dataclasses.replace(surf, branch_arcs=(surf.branch_arcs[0], arc))
+    w = combine(((1, 1, 0), (1, 0, 1)), (6_000, 4_000))
+    assert sum(w) == 2 * 10 ** 4
+    s = carried_surface(surf, w)
+    assert s == _reference_carried_surface(surf, w)
+    assert carried_adjacency_graph(s) == _reference_carried_adjacency_graph(s)
 
 
 def test_carried_theta_closed_forms_at_scale():

@@ -3,6 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 import bsurf
 from bsurf.hilbert import (DEFAULT_BUDGET, ConeSystem, MinimalGenerators, NotGeneratedError,
-                           _dominates, _minimal_filter, brute_force_minimals, decompose,
-                           membership, minimal_generators, solutions_up_to)
+                           _dominates, _extreme_rays, _hermite, _minimal_filter, _simplices,
+                           brute_force_minimals, decompose, membership, minimal_generators,
+                           solutions_up_to)
 
 CONE_X3 = ConeSystem(dimension=3, relations=((-1, -1, 1),))   # x3 = x1 + x2
 CONE_DOUBLE = ConeSystem(dimension=2, relations=((1, -2),))   # x1 = 2 x2
@@ -79,6 +83,62 @@ def _reference_minimal_generators(s: ConeSystem) -> MinimalGenerators:
     return MinimalGenerators(basis=tuple(basis), system=s)
 
 
+def _completion_minimal_generators(s: ConeSystem) -> MinimalGenerators:
+    """Complete set of minimal nonzero solutions, in lexicographic order.
+
+    Contejean-Devie completion.  Write A for the m x d relation matrix
+    and G for its Gram matrix, G[i][j] = <A e_i, A e_j>.  Level n holds
+    the candidates t with coordinate sum n; level 1 holds the unit
+    vectors.  Each candidate carries v = A t and sc = A^T A t, so that
+    sc[i] = <A t, A e_i>; its child t + e_i carries v + A e_i and
+    sc + G[i], at O(m + d) per child instead of O(m d) per candidate.
+    A candidate that dominates a known solution is dropped, one with
+    v = 0 is a solution, and any other one is extended by e_i exactly
+    where sc[i] < 0.
+
+    Before a candidate is expanded it has been checked against every
+    solution known by then: against all of them when it was pushed, and
+    against those found later when its level comes.  Solutions are only
+    added at the level being expanded, and candidates of one level have
+    the same sum and are distinct, so no solution dominates another and
+    the solutions need no final minimality filter.  As the candidate t
+    dominates no solution, its child t + e_i can only dominate a solution
+    m with m[i] > t[i].
+    """
+    d = s.dimension
+    cols = [tuple(row[i] for row in s.relations) for i in range(d)]
+    gram = [tuple(sum(map(mul, a, b)) for b in cols) for a in cols]
+
+    sols: list[tuple[int, ...]] = []
+    # (t, A t, A^T A t, number of solutions t was checked against)
+    frontier = [((0,) * i + (1,) + (0,) * (d - 1 - i), cols[i], gram[i], 0)
+                for i in range(d)]
+    while frontier:
+        next_frontier = []
+        seen = set()                    # one level: every child has the same sum
+        for t, v, sc, checked in frontier:
+            if any(_dominates(t, m) for m in sols[checked:]):
+                continue
+            if not any(v):
+                sols.append(t)
+                continue
+            known = len(sols)
+            for i, c in enumerate(sc):
+                if c < 0:
+                    ti = t[i] + 1
+                    child = t[:i] + (ti,) + t[i + 1:]
+                    if child in seen:
+                        continue
+                    if any(m[i] >= ti and _dominates(child, m) for m in sols):
+                        continue
+                    seen.add(child)
+                    next_frontier.append((child, tuple([a + b for a, b in zip(v, cols[i])]),
+                                          tuple([a + b for a, b in zip(sc, gram[i])]), known))
+        frontier = next_frontier
+
+    return MinimalGenerators(basis=tuple(sorted(sols)), system=s)
+
+
 def cone_system(d: int, rng: random.Random) -> ConeSystem:
     """x_j = x_(j+1) + x_(j+3) for j < 3d/4, indices mod d, sector labels shuffled."""
     perm = list(range(d))
@@ -125,6 +185,73 @@ def test_inconsistent_system_returns_empty_basis():
 def test_determinism():
     s = ConeSystem(dimension=4, relations=((-1, -1, 1, 0), (0, -1, -1, 1)))
     assert minimal_generators(s).basis == minimal_generators(s).basis
+
+
+def test_index_two_cone():
+    # x1 + x2 = 2 x3: the rays span a sublattice of index 2, and (1, 1, 1)
+    # is the one nonzero point of their half-open parallelepiped
+    s = ConeSystem(dimension=3, relations=((1, 1, -2),))
+    rays = _extreme_rays(s)
+    assert rays == [(0, 2, 1), (2, 0, 1)]
+    h = _hermite(rays)
+    assert h[0][0] * h[1][1] == 2
+    assert minimal_generators(s).basis == ((0, 2, 1), (1, 1, 1), (2, 0, 1))
+
+
+@pytest.mark.parametrize("relation, rays, inner", [
+    # x1 + x2 = x3 + x4: both simplices have index 1
+    ((1, 1, -1, -1), [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)], []),
+    # x1 + x2 = x3 + 3 x4: indices 1 and 3, two points inside one parallelepiped
+    ((1, 1, -1, -3), [(0, 1, 1, 0), (0, 3, 0, 1), (1, 0, 1, 0), (3, 0, 0, 1)],
+     [(1, 2, 0, 1), (2, 1, 0, 1)]),
+])
+def test_non_simplicial_cone(relation, rays, inner):
+    # four rays in a 3-dimensional cone, two simplices
+    s = ConeSystem(dimension=4, relations=(relation,))
+    assert _extreme_rays(s) == rays
+    assert len(_simplices(rays, 4)) == 2
+    assert minimal_generators(s).basis == tuple(sorted(rays + inner))
+
+
+def test_cone_of_lower_dimension_than_kernel():
+    # x1 + x2 = 0 forces x1 = x2 = 0: ker A has dimension 2, the cone 1
+    s = ConeSystem(dimension=3, relations=((1, 1, 0),))
+    assert minimal_generators(s).basis == ((0, 0, 1),)
+
+
+def test_zero_cone():
+    s = ConeSystem(dimension=3, relations=((1, 1, 1),))    # ker A has dimension 2
+    assert _extreme_rays(s) == []
+    assert minimal_generators(s).basis == ()
+
+
+def test_extreme_rays_need_the_adjacency_test():
+    # x5 = 0, x6 = x0 + x7, x4 = x2 + x7: a simplicial cone on 5 rays.  On
+    # the way, double description meets a pair that vanishes together on
+    # enough constraints but is not adjacent; without the third-ray test
+    # it would yield the non-extreme (1, 0, 1, 0, 1, 0, 1, 0) as a ray.
+    s = ConeSystem(dimension=8, relations=(
+        (0, 0, 0, 0, 0, -1, 0, 0), (-1, 0, 0, 0, 0, 0, 1, -1), (0, 0, -1, 0, 1, 0, 0, -1)))
+    rays = [(0, 0, 0, 0, 1, 0, 1, 1), (0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 1, 0)]
+    assert _extreme_rays(s) == rays
+    assert minimal_generators(s).basis == tuple(rays)
+
+
+def test_doubling_rows_found_case():
+    # the completion ran for about 70 s on this d = 11 system with two
+    # doubling rows; the basis below is its result
+    s = random_switch_system(random.Random(576), max_dim=12, max_relations=9)
+    start = time.perf_counter()
+    g = minimal_generators(s)
+    assert time.perf_counter() - start < 0.5
+    assert g.basis == ((4, 1, 2, 0, 4, 3, 1, 4, 1, 4, 2), (5, 0, 3, 1, 6, 4, 1, 6, 1, 5, 3))
+
+
+@pytest.mark.parametrize("c", [1.0, True, Fraction(1), "1"])
+def test_relation_coefficients_must_be_ints(c):
+    with pytest.raises(ValueError, match=r"relation \(1, -1, .*\) has coefficient .* expected int"):
+        ConeSystem(dimension=3, relations=((1, 0, -1), (1, -1, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +408,29 @@ def test_completion_matches_reference_loop(seed):
     assert minimal_generators(s) == _reference_minimal_generators(s)
 
 
+@st.composite
+def integer_systems(draw):
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=4))
+    return ConeSystem(dimension=d, relations=tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+def test_matches_completion_on_integer_systems(s):
+    g = minimal_generators(s)
+    assert g == _completion_minimal_generators(s)
+    # primitive extreme rays are irreducible, so a non-extreme one shows here
+    assert set(_extreme_rays(s)) <= set(g.basis)
+
+
 @pytest.mark.parametrize("d", [10, 12, 14])
 def test_completion_matches_reference_on_cone_family(d):
     s = cone_system(d, random.Random(f"cone/{d}"))
     g = minimal_generators(s)
     assert g == _reference_minimal_generators(s)
     basis = g.basis
+    assert _extreme_rays(s) == list(basis)      # simplicial, index 1
     assert basis and list(basis) == sorted(basis)
     assert not any(u != w and _dominates(u, w) for u in basis for w in basis)
     assert all(any(u) and membership(u, s) for u in basis)

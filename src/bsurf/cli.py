@@ -200,6 +200,23 @@ def cmd_bypass(args) -> int:
     return OK
 
 
+def _cap(spec: str):
+    """The --cap value read like a document angle (``domain.exact_angle``), or
+    None when that rule rejects a number such as 1.5, 1/0 or 1e1000000.  Text
+    that is no number at all raises the ValueError ``Fraction`` gives it; its
+    digits are zeroed for that test, so that no exponent is expanded."""
+    try:
+        return domain.exact_angle(spec)
+    except (ValueError, ZeroDivisionError):
+        try:
+            Fraction("".join("0" if c.isdecimal() else c for c in spec))
+        except ValueError:
+            Fraction(spec)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
 def cmd_prune(args) -> int:
     doc = io.load(args.document)
     names = [args.ensemble] if args.ensemble else sorted(doc.ensembles)
@@ -211,9 +228,14 @@ def cmd_prune(args) -> int:
         dname, structures = doc.ensembles[name]
         fd = doc.domains[dname]
         if args.cap is not None:
-            cap = Fraction(args.cap)
+            cap = _cap(args.cap)
+            if cap is None:
+                print(f"error: argument --cap: expected an integer or p/q, got {args.cap!r}",
+                      file=sys.stderr)
+                return VALIDATION_FAILURE
+            sites = sorted(fd.boundary_sectors)
             for x in structures:
-                for s in sorted(fd.boundary_sectors):
+                for s in sites:
                     if not x.angle[s] < cap:
                         print(f"ensemble {name}: FAIL (structure {x.label!r} has angle "
                               f"{x.angle[s]} on boundary sector {s}, cap {cap})")

@@ -13,6 +13,13 @@ values on the deleted sectors.  Iterating at boundary sectors shrinks
 the quotient to a boundaryless branched surface or to nothing; that
 chain of domains depends only on the domain, so the ensemble is split
 once, by its angles on the removed sectors in removal order.
+
+Angles are compared as exact integer rows: each value n/d of a set of
+angle tables becomes the int n * (D // d), where D is the lcm of the
+denominators that occur.  D > 0 keeps equality, order and the switch sums
+exact.  An adjacency check then costs O(d) int operations for d sectors,
+and a partition O(N·r) for N structures and r removed sectors plus a sort
+of the distinct keys, where each step used to be a Fraction operation.
 """
 
 from __future__ import annotations
@@ -111,7 +118,9 @@ class AngleFunction:
 
     def __post_init__(self):
         for i, v in enumerate(self.values):
-            if v <= 0:
+            if type(v) is not Fraction and type(v) is not int:
+                raise ValueError(f"angle on sector {i} must be an int or a Fraction, got {v!r}")
+            if v.numerator <= 0:     # denominators are positive
                 raise ValueError(f"angle on sector {i} must be positive, got {v}")
 
     def __getitem__(self, i: int) -> Fraction:
@@ -122,14 +131,17 @@ class AngleFunction:
 
 
 def exact_angle(v) -> Fraction:
-    """One angle as a Fraction.  A string must have the integer or p/q form,
-    with an optional sign, that ``str`` of a Fraction writes; any other
-    string (an exponent, a decimal point, spaces, underscores) is rejected
-    before ``Fraction`` parses it, so ``"1e1000000"`` costs nothing."""
+    """One angle as a Fraction, from an int, a Fraction or a string.  A string
+    must have the integer or p/q form, with an optional sign, that ``str`` of
+    a Fraction writes; any other string (an exponent, a decimal point, spaces,
+    underscores) is rejected before ``Fraction`` parses it, so ``"1e1000000"``
+    costs nothing.  Any other value is rejected, bools and inexact numbers included."""
     if type(v) is str:
         p, slash, q = (v[1:] if v[:1] in ("+", "-") else v).partition("/")
         if not (p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit())):
             raise ValueError(f"angle {v!r} is not an integer or p/q")
+    elif type(v) is not int and type(v) is not Fraction:
+        raise ValueError(f"angle {v!r} is not an int, a Fraction or a str")
     return Fraction(v)
 
 
@@ -149,12 +161,29 @@ class AdjustedStructure:
             raise ValueError("angle table length must match the sector count")
 
 
+def _scaled(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
+    """Rows of exact values, given as (numerator, denominator) pairs, as ints
+    over their lcm denominator D: n/d becomes n * (D // d) in every row, so
+    rows compare and sum as the values do."""
+    from math import lcm
+    scale = {d: 0 for row in rows for _, d in row}
+    D = lcm(*scale)
+    for d in scale:
+        scale[d] = D // d
+    return [[n * scale[d] for n, d in row] for row in rows]
+
+
 def check_adjacency(base: AdjustedStructure, other: AdjustedStructure) -> None:
-    """Angle differences must satisfy the switch relations across every arc."""
+    """Angle differences must satisfy the switch relations across every arc.
+
+    The two angle tables are compared as exact integer rows over the lcm of
+    their denominators, O(d) int operations; the Fraction differences are
+    built only to report a violation."""
     b = base.domain.quotient
-    diff = [o - a for o, a in zip(other.angle.values, base.angle.values)]
-    arc = switch_violation(b, diff)
+    a, o = _scaled([[v.as_integer_ratio() for v in x.angle.values] for x in (base, other)])
+    arc = switch_violation(b, [y - x for x, y in zip(a, o)])
     if arc is not None:
+        diff = [o - a for o, a in zip(other.angle.values, base.angle.values)]
         raise ValueError(
             f"adjacency violated at arc {arc.index}: merged offset {diff[arc.merged_sector]} "
             f"!= {diff[arc.upper_sector] + diff[arc.lower_sector]}")
@@ -289,13 +318,21 @@ def _restrict(fd: FiberedDomain, removed: set[int]) -> FiberedDomain:
 def _partition(ensemble: Sequence[AdjustedStructure], removed: Sequence[int],
                domain: FiberedDomain, kept: Sequence[int]) -> list[tuple[tuple, list]]:
     """(angles on ``removed``, structures re-based onto ``domain`` at ``kept``),
-    in ascending key order, each class in ensemble order."""
-    buckets: dict[tuple, list[AdjustedStructure]] = {}
+    in ascending key order, each class in ensemble order.
+
+    Structures are bucketed by their angles on ``removed`` as normalized
+    (numerator, denominator) pairs, and the buckets are sorted by those
+    angles as exact integer rows over the lcm denominator: O(N·r) int
+    operations for N structures and r removed sectors, then a sort of the
+    distinct rows."""
+    buckets: dict[tuple, tuple[tuple, list[AdjustedStructure]]] = {}
     for x in ensemble:
-        key = tuple(x.angle[s] for s in removed)
-        angle = AngleFunction(tuple(x.angle[s] for s in kept))
-        buckets.setdefault(key, []).append(AdjustedStructure(domain, angle, x.label))
-    return sorted(buckets.items())
+        values = x.angle.values
+        key = tuple(values[s] for s in removed)
+        rebased = AdjustedStructure(domain, AngleFunction(tuple(values[s] for s in kept)), x.label)
+        buckets.setdefault(tuple(v.as_integer_ratio() for v in key), (key, []))[1].append(rebased)
+    # distinct keys scale to distinct rows, so the sort never compares buckets
+    return [bucket for _, bucket in sorted(zip(_scaled(list(buckets)), buckets.values()))]
 
 
 def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],

@@ -113,6 +113,23 @@ def _angle(v, where, path):
         _fail("integer or p/q", v, where, path)
 
 
+def _angles(memo: dict):
+    """A list of ``_angle``; ``memo`` maps each literal already read to its
+    Fraction, so a repeated literal is read once."""
+    def dec(v, where, path):
+        if type(v) is not list:
+            _fail("list", v, where, path)
+        out = []
+        for i, x in enumerate(v):
+            # the type test comes first: True == 1 == 1.0 as keys
+            a = memo.get(x) if type(x) is str or type(x) is int else None
+            if a is None:
+                a = memo[x] = _angle(x, where, f"{path}[{i}]")
+            out.append(a)
+        return tuple(out)
+    return dec, lambda v: [str(x) for x in v]
+
+
 def _entity(make, *fields):
     """An object of fields (key, codec[, default]), built by ``make``; a ValueError
     it raises is an invariant violation.  Encoding reads attributes or dict items."""
@@ -182,8 +199,17 @@ _TETRAHEDRON = _entity(prisms.Tetrahedron, ("index", str), ("vertices", _list(st
 _CROSSING = _entity(prisms.Crossing, ("edge", int), ("face_from", str), ("face_to", str),
                     ("shift", int))
 _HOLONOMY = _entity(prisms.HolonomyData, ("tet", str), ("crossings", _list(_CROSSING), ()))
-_STRUCTURE = _entity(dict, ("label", str, None), ("angles", _list((_angle, str))))
-_ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _list(_STRUCTURE), ()))
+
+
+def _structures(memo: dict):
+    return _list(_entity(dict, ("label", str, None), ("angles", _angles(memo))))
+
+
+# The structures of an ensemble differ by whole turns, so their angle literals
+# repeat: each decode reads them through a fresh memo, dropped when it returns.
+_STRUCTURES = (lambda v, where, path: _structures({})[0](v, where, path),
+               _structures({})[1])
+_ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _STRUCTURES, ()))
 _VERTICAL_FACE = _entity(prisms.VerticalFace, ("face", str), ("bottom", _PAIR), ("top", _PAIR))
 _PRISM = _entity(prisms.Prism, ("kind", str, "corner:?"),
                  ("vertical_faces", _list(_VERTICAL_FACE), ()))

@@ -15,7 +15,7 @@ from bsurf.domain import (AdjustedStructure, AngleFunction, FiberedDomain, Prune
                           weight_of)
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, Sector, Side,
-                           satisfies_switch, switch_system)
+                           satisfies_switch, switch_system, switch_violation)
 
 DOCS = Path(__file__).resolve().parent.parent / "documents"
 
@@ -83,6 +83,21 @@ def test_angle_strings_in_the_integer_and_fraction_forms():
 def test_other_angle_strings_rejected_before_fraction_reads_them(text):
     with pytest.raises(ValueError, match="is not an integer or p/q$"):
         make_angles(["3/2", text])
+
+
+@pytest.mark.parametrize("values, sector", [((1.5, True, 2), 0), ((1, True), 1),
+                                            ((Fraction(1, 2), "3"), 1), ((2, 0.5), 1),
+                                            ((1, None), 1)])
+def test_angle_tables_hold_only_ints_and_fractions(values, sector):
+    with pytest.raises(ValueError,
+                       match=f"^angle on sector {sector} must be an int or a Fraction, got "):
+        AngleFunction(values)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.5, True, False, None, [1]])
+def test_exact_angle_rejects_inexact_values(value):
+    with pytest.raises(ValueError, match="is not an int, a Fraction or a str$"):
+        make_angles([value])
 
 
 def test_weight_of_base_is_zero():
@@ -461,3 +476,85 @@ def test_prune_to_closed_restricts_each_sector_at_most_once(monkeypatch):
     monkeypatch.setattr(domain, "_restrict_surface", counting)
     assert prune_to_closed(fd, xs) == expected
     assert 1 <= len(calls) <= len(b.sectors)
+
+
+# ---------------------------------------------------------------------------
+# exact integer rows against the Fraction code they replaced
+
+
+def _fraction_check_adjacency(base: AdjustedStructure, other: AdjustedStructure) -> None:
+    """Angle differences must satisfy the switch relations across every arc."""
+    b = base.domain.quotient
+    diff = [o - a for o, a in zip(other.angle.values, base.angle.values)]
+    arc = switch_violation(b, diff)
+    if arc is not None:
+        raise ValueError(
+            f"adjacency violated at arc {arc.index}: merged offset {diff[arc.merged_sector]} "
+            f"!= {diff[arc.upper_sector] + diff[arc.lower_sector]}")
+
+
+def _fraction_partition(ensemble: Sequence[AdjustedStructure], removed: Sequence[int],
+                        domain: FiberedDomain, kept: Sequence[int]) -> list[tuple[tuple, list]]:
+    """(angles on ``removed``, structures re-based onto ``domain`` at ``kept``),
+    in ascending key order, each class in ensemble order."""
+    buckets: dict[tuple, list[AdjustedStructure]] = {}
+    for x in ensemble:
+        key = tuple(x.angle[s] for s in removed)
+        angle = AngleFunction(tuple(x.angle[s] for s in kept))
+        buckets.setdefault(key, []).append(AdjustedStructure(domain, angle, x.label))
+    return sorted(buckets.items())
+
+
+# Mixed small denominators and a few large primes (2**61 - 1 among them).
+DENOMINATORS = (1, 2, 3, 4, 6, 1_000_003, 998_244_353, 2**61 - 1)
+
+
+@st.composite
+def exact_ensembles(draw):
+    """A fibered domain and an ensemble on it: a base with numerators past
+    2**64 and mixed denominators, plus t * w for a few rational t and a few
+    weights w of the switch cone.  Draws repeat, so classes merge; with
+    ``broken`` one structure has one angle moved off the switch relations."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = (fixtures.random_track_suspension if draw(st.booleans())
+         else fixtures.random_branched_surface)(rng)
+    fd = _random_domain(rng, b)
+    dens = st.sampled_from(DENOMINATORS)
+    base = tuple(Fraction(draw(st.integers(1, 2**70)), draw(dens)) for _ in b.sectors)
+    ts = draw(st.lists(st.builds(Fraction, st.integers(0, 2**66), dens), min_size=1, max_size=3))
+    basis = minimal_generators(switch_system(b)).basis
+    ws = [[sum(u[j] for u in basis if rng.random() < 0.5) for j in range(len(b.sectors))]
+          for _ in range(3)]
+    xs = [AdjustedStructure(fd, AngleFunction(base), "base")]
+    for i in range(draw(st.integers(0, 24))):
+        t, w = rng.choice(ts), rng.choice(ws)
+        xs.append(AdjustedStructure(fd, AngleFunction(tuple(a + t * wi for a, wi in zip(base, w))),
+                                    f"x{i}"))
+    if draw(st.booleans()) and len(xs) > 1:
+        i, j = rng.randrange(1, len(xs)), rng.randrange(len(b.sectors))
+        values = list(xs[i].angle.values)
+        values[j] += Fraction(1, draw(dens))
+        xs[i] = replace(xs[i], angle=AngleFunction(tuple(values)))
+    rng.shuffle(xs)
+    return fd, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=exact_ensembles(), data=st.data())
+def test_integer_rows_match_the_fraction_code(case, data):
+    fd, xs = case
+    for x in xs:
+        assert (_outcome(domain.check_adjacency, xs[0], x)
+                == _outcome(_fraction_check_adjacency, xs[0], x))
+    nsec = len(fd.quotient.sectors)
+    at = data.draw(st.lists(st.integers(0, nsec - 1), min_size=1, max_size=nsec))
+    values = sorted({x.angle[s] for x in xs for s in at})
+    cap = data.draw(st.sampled_from(values + [values[-1] + 1] if values else [Fraction(1)]))
+    removed, kept = sorted(set(at)), [s for s in range(nsec) if s not in at]
+    smaller = domain._restrict(fd, set(at))
+    assert (domain._partition(xs, removed, smaller, kept)
+            == _fraction_partition(xs, removed, smaller, kept))
+    got = _outcome(prune_to_closed, fd, xs), _outcome(prune, fd, xs, at, cap)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(domain, "_partition", _fraction_partition)
+        assert got == (_outcome(prune_to_closed, fd, xs), _outcome(prune, fd, xs, at, cap))

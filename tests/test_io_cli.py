@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsurf import cli, fixtures, hilbert, io, surface
+from bsurf import cli, domain, fixtures, hilbert, io, surface
+from tests.test_domain import _fraction_check_adjacency, _outcome, exact_ensembles
 from tests.test_surface import _reference_carried_surface
 
 DOCS = Path(__file__).resolve().parent.parent / "documents"
@@ -178,6 +179,19 @@ def test_cli_prune_cap_failure_is_validation_exit(capsys):
                    "on boundary sector 0, cap 3/2)\n")
 
 
+@pytest.mark.parametrize("cap", ["1.5", "1e1000000", "1/0", " 3/2", "1_0"])
+def test_cli_prune_cap_outside_the_angle_forms_is_a_located_validation_exit(capsys, cap):
+    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", cap]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: argument --cap: expected an integer or p/q, got {cap!r}\n")
+
+
+@pytest.mark.parametrize("cap", ["abc", "", "a1"])
+def test_cli_prune_cap_that_is_no_number_is_an_input_error(capsys, cap):
+    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", cap]) == 1
+    assert capsys.readouterr() == ("", f"error: Invalid literal for Fraction: {cap!r}\n")
+
+
 def test_cli_prune_passing_cap_prints_the_same(capsys):
     assert cli.main(["prune", str(DOCS / "complex.json")]) == 0
     plain = capsys.readouterr()
@@ -283,6 +297,16 @@ def test_incoherent_ensemble_rejected(tmp_path):
     assert "adjacency-coherence" in str(err.value)
 
 
+def test_non_adjacent_structure_is_located_with_its_fraction_offsets():
+    raw = copy.deepcopy(SHIPPED["complex"])
+    raw["ensembles"][0]["structures"][2]["angles"][1] = "13/2"
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(json.dumps(raw))
+    assert str(err.value) == (
+        "invariant violation at ensemble pipeline structure twice: fibered_domain rule "
+        "adjacency-coherence: adjacency violated at arc 0: merged offset 4 != 5")
+
+
 def test_cli_bypass_square_strands(tmp_path, capsys):
     doc = io.ComplexDocument()
     d = fixtures.parallel_face(3, face="P")
@@ -383,6 +407,10 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
     ("complex", ("prism_configurations", 0, "tets", "G", "diagonal"), 5,
      "invariant violation at prism_configuration corner tets.G: "
      "diagonal prism must be 0, 1, 2 or None"),
+    ("complex", ANGLES, [1, 1, True],
+     "parse error at ensemble pipeline structures[0].angles[2]: expected str or int, got true"),
+    ("complex", ANGLES, [1, 1.0, 1],
+     "parse error at ensemble pipeline structures[0].angles[1]: expected str or int, got 1.0"),
 ])
 def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
     doc = copy.deepcopy(SHIPPED[name])
@@ -485,3 +513,78 @@ def test_mutated_documents_never_escape_a_traceback(tmp_path, capsys, doc):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert LOCATED.match(err) and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# ensembles against the Fraction decode they replaced
+
+_FRACTION_STRUCTURE = io._entity(dict, ("label", str, None),
+                                 ("angles", io._list((io._angle, str))))
+_FRACTION_ENSEMBLES = io._section("ensemble", "name", None, io._entity(
+    dict, ("name", str), ("domain", str), ("structures", io._list(_FRACTION_STRUCTURE), ())))
+
+
+def _fraction_ensembles(text):
+    """The ensembles of a document whose other sections are sound, decoded
+    one angle literal at a time and checked by Fraction differences."""
+    raw = json.loads(text, object_pairs_hook=io._object)
+    doc = io.loads(json.dumps(dict(raw, ensembles=[])))
+    ensembles = {}
+    for name, (where, e) in _FRACTION_ENSEMBLES[0](raw["ensembles"], None, "ensembles").items():
+        fd = io._ref(doc.domains, e["domain"], where, "fibered_domain")
+        structures = []
+        for i, sd in enumerate(e["structures"]):
+            label = f"{name}[{i}]" if sd["label"] is None else sd["label"]
+            try:
+                structures.append(domain.AdjustedStructure(
+                    domain=fd, angle=domain.AngleFunction(sd["angles"]), label=label))
+            except ValueError as exc:
+                raise io.DocumentError("invariant violation", f"structure {label}",
+                                       f"fibered_domain rule positive-angles: {exc}")
+        for x in structures[1:]:
+            try:
+                _fraction_check_adjacency(structures[0], x)
+            except ValueError as exc:
+                raise io.DocumentError("invariant violation",
+                                       f"ensemble {name} structure {x.label}",
+                                       f"fibered_domain rule adjacency-coherence: {exc}")
+        ensembles[name] = (e["domain"], tuple(structures))
+    return ensembles
+
+
+BAD_ANGLES = st.sampled_from(["1.5", "0", "-3/2", "1/0", " 2", "", True, 2.0, None, 0, "-0"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exact_ensembles(), data=st.data())
+def test_ensembles_load_as_the_fraction_decode_did(case, data):
+    fd, xs = case
+    doc = io.ComplexDocument(surfaces={fd.quotient.name: fd.quotient}, domains={"d": fd},
+                             ensembles={"e": ("d", tuple(xs)), "f": ("d", tuple(xs[::-1]))})
+    text = io.dumps(doc)
+    if data.draw(st.booleans()):
+        raw = json.loads(text)
+        structures = raw["ensembles"][data.draw(st.integers(0, 1))]["structures"]
+        angles = structures[data.draw(st.integers(0, len(structures) - 1))]["angles"]
+        angles[data.draw(st.integers(0, len(angles) - 1))] = data.draw(BAD_ANGLES)
+        text = json.dumps(raw, indent=1, sort_keys=True) + "\n"
+    loaded = _outcome(lambda: io.loads(text).ensembles)
+    assert loaded == _outcome(_fraction_ensembles, text)
+    if type(loaded) is dict:
+        assert io.dumps(io.loads(text)) == text
+
+
+def test_angle_memo_lives_for_one_load():
+    good = json.dumps(SHIPPED["complex"])
+    raw = copy.deepcopy(SHIPPED["complex"])
+    raw["ensembles"][0]["structures"][2]["angles"][1] = "11/2.0"
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(json.dumps(raw))
+    assert str(err.value) == ("parse error at ensemble pipeline structures[2].angles[1]: "
+                              "expected integer or p/q, got \"11/2.0\"")
+    first, second = (io.loads(good).ensembles["pipeline"][1] for _ in range(2))
+    assert first == second == _fraction_ensembles(good)["pipeline"][1]
+    # A literal repeated in one load is read once; no value is shared between loads.
+    assert first[0].angle[0] is first[1].angle[0]
+    assert not {id(v) for x in first for v in x.angle.values} & {
+        id(v) for x in second for v in x.angle.values}

@@ -298,18 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None                        # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except io.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:    # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -356,133 +356,88 @@ def _region_split(d: DividingSet):
     """Cut the hexagon along the chords; non-crossing makes this a tree.
 
     Returns (chords, corner intervals) per region: the bounding chords
-    and, between consecutive attachments, the tuple of corner ids.
-    Slots never appear inside a final region since each one anchors a
-    chord.
+    and, between consecutive chords, the tuple of corner ids.
 
-    A region is a cyclic linked list of boundary positions read from its
-    head.  It is cut at the first slot after the head and at that slot's
-    partner, which become chords: the partner closes the inside (the run
-    between the two) and the first slot closes the outside, each as the
-    last node of its region.  The inside is finished before the outside.
+    One walk around the boundary keeps the open regions on a stack.  An
+    arc opens the region inside it at its first slot and closes it at its
+    second; corner 2, the last item, lies outside every arc.  A region
+    lists its own arc, then the arcs it directly encloses in boundary
+    order.  Regions are emitted as they close, so they come out in
+    post-order, each directly after its last child.  The root comes last,
+    with its last and first corner runs joined.
     """
-    f = d.face
-    items = f.boundary_items()
-    n = len(items)
-    nxt = [(p + 1) % n for p in range(n)]
-    partner: list = [None] * n        # the other end of a slot not yet cut
-    chord: list = [None] * n          # the arc of a cut slot
-    for a, b in d.arcs:
-        pa, pb = f.locate(a)[2], f.locate(b)[2]
-        partner[pa], partner[pb] = pb, pa
-
+    arc_at = d._arc_index
     out = []
-    heads = [0]
-    while heads:
-        head = i = heads.pop()
-        while partner[i] is None and nxt[i] != head:
-            i = nxt[i]
-        if partner[i] is not None:
-            j = partner[i]
-            inside, outside = nxt[i], nxt[j]
-            nxt[j], nxt[i] = inside, outside
-            chord[i] = chord[j] = d.arc_of(items[i][1])
-            partner[i] = partner[j] = None
-            heads += (outside, inside)
+    stack: list = [([], [], [])]      # per open region: chords, closed runs, current run
+    for kind, x in d.face.boundary_items():
+        chords, runs, run = stack[-1]
+        if kind == "corner":
+            run.append(x)
             continue
-        region = [head]
-        while nxt[region[-1]] != head:
-            region.append(nxt[region[-1]])
-        cuts = [k for k, x in enumerate(region) if chord[x] is not None]
-        if not cuts:
-            out.append(((), (tuple(items[x][1] for x in region),)))
-            continue
-        intervals, run = [], []
-        for x in region[cuts[0] + 1:] + region[:cuts[0] + 1]:
-            if chord[x] is None:
-                run.append(items[x][1])
-            else:
-                intervals.append(tuple(run))
-                run = []
-        out.append((tuple(chord[region[k]] for k in cuts), tuple(intervals)))
+        runs.append(tuple(run))
+        run.clear()
+        arc = arc_at[x]
+        # the root's first chord closes before the root is on top again
+        if chords and chords[0] is arc:
+            stack.pop()
+            out.append((tuple(chords), tuple(runs)))
+        else:
+            chords.append(arc)
+            stack.append(([arc], [], []))
+    chords, runs, run = stack[0]
+    wrap = tuple(run) + (runs.pop(0) if runs else ())
+    out.append((tuple(chords), tuple(runs) + (wrap,)))
     return out
 
 
 def classify_pieces(d: DividingSet) -> PieceReport:
-    """Partition the hexagon complement and identify the three stacks."""
-    f = d.face
+    """Partition the hexagon complement and identify the three stacks.
+
+    An ordinary piece is a quadrilateral between two chords joining the
+    same pair of edges.  The root region holds corner 2, so it is never
+    ordinary, and an ordinary region has exactly one child, which
+    post-order emits just before it.  So ordinary pieces sharing a chord
+    are consecutive, and a chain of them is a maximal run of indices,
+    innermost first.  Per edge pair the longest run is the stack, the
+    first on a tie; other ordinary pieces are stray.
+    """
+    edge = d.face._slot_index         # slot -> (edge, offset, position)
     raw = _region_split(d)
-    pieces: list[Piece] = []
-    for idx, (chords, corners) in enumerate(raw):
-        has_corner = any(iv for iv in corners)
-        if len(chords) == 0:
-            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, PieceRole.HEXAGON,
-                                (), corners))
-        elif len(chords) == 1:
-            role = PieceRole.CORNER if has_corner else PieceRole.HALF_DISK
-            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, role, chords, corners))
-        elif len(chords) == 2 and not has_corner:
+    pairs = []                        # edge pair of each ordinary piece, else None
+    for chords, corners in raw:
+        pair = None
+        if len(chords) == 2 and not any(corners):
             # corner-free intervals lie inside single edges, so the region is
             # a quadrilateral iff both chords join the same pair of edges
-            (a, b), (c, dd) = chords[0], chords[1]
-            edges_1 = {f.edge_of(a), f.edge_of(b)}
-            edges_2 = {f.edge_of(c), f.edge_of(dd)}
-            if edges_1 == edges_2 and len(edges_1) == 2:
-                ed = tuple(sorted(edges_1))
-                pieces.append(Piece(idx, PieceKind.ORDINARY, PieceRole.STACK,
-                                    chords, corners, edges=ed))
-            else:
-                pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, PieceRole.CENTRAL,
-                                    chords, corners))
-        else:
-            role = PieceRole.CORNER if has_corner else PieceRole.CENTRAL
-            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, role, chords, corners))
+            (a, b), (c, e) = chords
+            ea, eb = edge[a][0], edge[b][0]
+            if ea != eb and {ea, eb} == {edge[c][0], edge[e][0]}:
+                pair = (min(ea, eb), max(ea, eb))
+        pairs.append(pair)
 
-    # maximal stacks per edge pair: longest chain of ordinary pieces; both
-    # regions of a chord hold the same stored arc, so it keys the chain search
-    by_chord: dict[tuple[int, int], list[Piece]] = {}
-    ordinary = [p for p in pieces if p.kind is PieceKind.ORDINARY]
-    for p in ordinary:
-        for ch in p.chords:
-            by_chord.setdefault(ch, []).append(p)
-    chains: dict[int, list[Piece]] = {}
-    seen: set[int] = set()
-    for p in ordinary:
-        if p.index in seen:
+    best: dict[tuple[int, int], range] = {}
+    for pair, run in itertools.groupby(range(len(raw)), pairs.__getitem__):
+        if pair is not None:
+            run = list(run)
+            if pair not in best or len(run) > len(best[pair]):
+                best[pair] = range(run[0], run[-1] + 1)
+
+    pieces = []
+    for i, ((chords, corners), pair) in enumerate(zip(raw, pairs)):
+        if pair is not None:
+            role = PieceRole.STACK if i in best[pair] else PieceRole.STRAY
+            pieces.append(Piece(i, PieceKind.ORDINARY, role, chords, corners, pair))
             continue
-        chain = [p]
-        seen.add(p.index)
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for ch in q.chords:
-                for r in by_chord[ch]:
-                    if r.index not in seen:
-                        seen.add(r.index)
-                        chain.append(r)
-                        frontier.append(r)
-        chains[p.index] = chain
-
-    stacks: dict[tuple[int, int], tuple[Piece, ...]] = {}
-    stray: set[int] = set()
-    for chain in chains.values():
-        pair = chain[0].edges
-        if pair in stacks and len(stacks[pair]) >= len(chain):
-            stray.update(p.index for p in chain)
+        if not chords:
+            role = PieceRole.HEXAGON
+        elif any(corners):
+            role = PieceRole.CORNER
         else:
-            if pair in stacks:
-                stray.update(p.index for p in stacks[pair])
-            stacks[pair] = tuple(sorted(chain, key=lambda p: p.index))
-
-    final = []
-    for p in pieces:
-        if p.kind is PieceKind.ORDINARY and p.index in stray:
-            p = Piece(p.index, p.kind, PieceRole.STRAY, p.chords,
-                      p.corner_intervals, p.edges)
-        final.append(p)
-    in_stack = {p.index for chain in stacks.values() for p in chain}
-    outside = tuple(p for p in final if p.index not in in_stack)
-    return PieceReport(pieces=tuple(final), stacks=stacks, outside=outside)
+            role = PieceRole.HALF_DISK if len(chords) == 1 else PieceRole.CENTRAL
+        pieces.append(Piece(i, PieceKind.EXTRAORDINARY, role, chords, corners))
+    stacks = {pair: tuple(pieces[r.start:r.stop]) for pair, r in best.items()}
+    outside = tuple(p for p in pieces if p.role is not PieceRole.STACK)
+    return PieceReport(pieces=tuple(pieces), stacks=stacks, outside=outside)
 
 
 # ---------------------------------------------------------------------------

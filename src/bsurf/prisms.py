@@ -217,14 +217,19 @@ def validate_configuration(config: PrismConfiguration,
 
 
 def _stack_between(report: PieceReport, bottom, top):
-    """Pieces between two arcs of one stack, or None with a reason."""
+    """Pieces between two arcs of one stack, or None with a reason.
+
+    A stack runs innermost piece first and each piece lists its own arc
+    first, so its arcs in nesting order are the innermost piece's inner
+    arc, then each piece's own arc; piece k lies between arcs k and k+1.
+    """
     b, t = tuple(sorted(bottom)), tuple(sorted(top))
-    for pair, chain in report.stacks.items():
-        hits = [i for i, piece in enumerate(chain)
-                if {b, t} & {tuple(sorted(c)) for c in piece.chords}]
-        chords = {tuple(sorted(c)) for piece in chain for c in piece.chords}
-        if b in chords and t in chords:
-            return list(chain[min(hits):max(hits) + 1]), None
+    for chain in report.stacks.values():
+        inner = chain[0].chords[1]
+        arcs = [tuple(sorted(c)) for c in (inner, *(p.chords[0] for p in chain))]
+        if b in arcs and t in arcs:
+            lo, hi = sorted((arcs.index(b), arcs.index(t)))
+            return list(chain[lo:hi]), None
     return None, f"arcs {bottom} and {top} do not bound a run of one ordinary stack"
 
 

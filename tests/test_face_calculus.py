@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsurf import dividing, fixtures, prisms
-from bsurf.dividing import (DividingSet, FaceModel, boundary_parallel_arcs,
-                            classify_pieces, extremal_components)
+from bsurf.dividing import (DividingSet, FaceModel, Piece, PieceKind, PieceReport, PieceRole,
+                            boundary_parallel_arcs, classify_pieces, extremal_components)
 from bsurf.prisms import (Prism, PrismConfiguration, PrismSelection, VerticalFace,
                           admissible, coverage_report)
 
@@ -96,6 +96,144 @@ def oracle_region_split(d: DividingSet):
     return out
 
 
+# The region split and piece classification as they were before the
+# bracket scan, kept as references.  The linked-list split is iterative,
+# so it also serves faces nested too deep for the recursive oracle.
+
+
+def linked_list_region_split(d: DividingSet):
+    """Cut the hexagon along the chords; non-crossing makes this a tree.
+
+    Returns (chords, corner intervals) per region: the bounding chords
+    and, between consecutive attachments, the tuple of corner ids.
+    Slots never appear inside a final region since each one anchors a
+    chord.
+
+    A region is a cyclic linked list of boundary positions read from its
+    head.  It is cut at the first slot after the head and at that slot's
+    partner, which become chords: the partner closes the inside (the run
+    between the two) and the first slot closes the outside, each as the
+    last node of its region.  The inside is finished before the outside.
+    """
+    f = d.face
+    items = f.boundary_items()
+    n = len(items)
+    nxt = [(p + 1) % n for p in range(n)]
+    partner: list = [None] * n        # the other end of a slot not yet cut
+    chord: list = [None] * n          # the arc of a cut slot
+    for a, b in d.arcs:
+        pa, pb = f.locate(a)[2], f.locate(b)[2]
+        partner[pa], partner[pb] = pb, pa
+
+    out = []
+    heads = [0]
+    while heads:
+        head = i = heads.pop()
+        while partner[i] is None and nxt[i] != head:
+            i = nxt[i]
+        if partner[i] is not None:
+            j = partner[i]
+            inside, outside = nxt[i], nxt[j]
+            nxt[j], nxt[i] = inside, outside
+            chord[i] = chord[j] = d.arc_of(items[i][1])
+            partner[i] = partner[j] = None
+            heads += (outside, inside)
+            continue
+        region = [head]
+        while nxt[region[-1]] != head:
+            region.append(nxt[region[-1]])
+        cuts = [k for k, x in enumerate(region) if chord[x] is not None]
+        if not cuts:
+            out.append(((), (tuple(items[x][1] for x in region),)))
+            continue
+        intervals, run = [], []
+        for x in region[cuts[0] + 1:] + region[:cuts[0] + 1]:
+            if chord[x] is None:
+                run.append(items[x][1])
+            else:
+                intervals.append(tuple(run))
+                run = []
+        out.append((tuple(chord[region[k]] for k in cuts), tuple(intervals)))
+    return out
+
+
+def reference_classify_pieces(d: DividingSet, split=oracle_region_split) -> PieceReport:
+    """Partition the hexagon complement and identify the three stacks."""
+    f = d.face
+    raw = split(d)
+    pieces: list[Piece] = []
+    for idx, (chords, corners) in enumerate(raw):
+        has_corner = any(iv for iv in corners)
+        if len(chords) == 0:
+            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, PieceRole.HEXAGON,
+                                (), corners))
+        elif len(chords) == 1:
+            role = PieceRole.CORNER if has_corner else PieceRole.HALF_DISK
+            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, role, chords, corners))
+        elif len(chords) == 2 and not has_corner:
+            # corner-free intervals lie inside single edges, so the region is
+            # a quadrilateral iff both chords join the same pair of edges
+            (a, b), (c, dd) = chords[0], chords[1]
+            edges_1 = {f.edge_of(a), f.edge_of(b)}
+            edges_2 = {f.edge_of(c), f.edge_of(dd)}
+            if edges_1 == edges_2 and len(edges_1) == 2:
+                ed = tuple(sorted(edges_1))
+                pieces.append(Piece(idx, PieceKind.ORDINARY, PieceRole.STACK,
+                                    chords, corners, edges=ed))
+            else:
+                pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, PieceRole.CENTRAL,
+                                    chords, corners))
+        else:
+            role = PieceRole.CORNER if has_corner else PieceRole.CENTRAL
+            pieces.append(Piece(idx, PieceKind.EXTRAORDINARY, role, chords, corners))
+
+    # maximal stacks per edge pair: longest chain of ordinary pieces; both
+    # regions of a chord hold the same stored arc, so it keys the chain search
+    by_chord: dict[tuple[int, int], list[Piece]] = {}
+    ordinary = [p for p in pieces if p.kind is PieceKind.ORDINARY]
+    for p in ordinary:
+        for ch in p.chords:
+            by_chord.setdefault(ch, []).append(p)
+    chains: dict[int, list[Piece]] = {}
+    seen: set[int] = set()
+    for p in ordinary:
+        if p.index in seen:
+            continue
+        chain = [p]
+        seen.add(p.index)
+        frontier = [p]
+        while frontier:
+            q = frontier.pop()
+            for ch in q.chords:
+                for r in by_chord[ch]:
+                    if r.index not in seen:
+                        seen.add(r.index)
+                        chain.append(r)
+                        frontier.append(r)
+        chains[p.index] = chain
+
+    stacks: dict[tuple[int, int], tuple[Piece, ...]] = {}
+    stray: set[int] = set()
+    for chain in chains.values():
+        pair = chain[0].edges
+        if pair in stacks and len(stacks[pair]) >= len(chain):
+            stray.update(p.index for p in chain)
+        else:
+            if pair in stacks:
+                stray.update(p.index for p in stacks[pair])
+            stacks[pair] = tuple(sorted(chain, key=lambda p: p.index))
+
+    final = []
+    for p in pieces:
+        if p.kind is PieceKind.ORDINARY and p.index in stray:
+            p = Piece(p.index, p.kind, PieceRole.STRAY, p.chords,
+                      p.corner_intervals, p.edges)
+        final.append(p)
+    in_stack = {p.index for chain in stacks.values() for p in chain}
+    outside = tuple(p for p in final if p.index not in in_stack)
+    return PieceReport(pieces=tuple(final), stacks=stacks, outside=outside)
+
+
 def oracle_random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
                                    face: str = "R") -> DividingSet:
     """The draw random_noncrossing_face must reproduce, written recursively."""
@@ -156,11 +294,9 @@ def _any_arcs(rng: random.Random, order):
     return tuple((slots[i], slots[i + 1]) for i in range(0, len(slots), 2))
 
 
-def _report_fields(rep):
-    return ([(p.index, p.kind, p.role, p.chords, p.corner_intervals, p.edges)
-             for p in rep.pieces],
-            [(pair, [p.index for p in chain]) for pair, chain in rep.stacks.items()],
-            [p.index for p in rep.outside])
+def _same_report(got: PieceReport, want: PieceReport) -> bool:
+    """Equal reports, with the stacks in the same dict order."""
+    return got == want and list(got.stacks) == list(want.stacks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,15 +305,61 @@ def test_classify_pieces_matches_recursive_oracle(rng, max_arcs):
     fm = _random_face(rng, max_arcs)
     d = DividingSet(face=fm, arcs=_noncrossing_arcs(rng, fm.slots))
     assert dividing._region_split(d) == oracle_region_split(d)
-    fast = classify_pieces(d)
-    original = dividing._region_split
-    try:
-        dividing._region_split = oracle_region_split
-        slow = classify_pieces(d)
-    finally:
-        dividing._region_split = original
-    assert _report_fields(fast) == _report_fields(slow)
-    assert fast.total == len(d.arcs) + 1
+    rep = classify_pieces(d)
+    assert _same_report(rep, reference_classify_pieces(d))
+    assert rep.total == len(d.arcs) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 40))
+def test_classify_pieces_matches_reference_on_random_faces(rng, max_arcs):
+    d = fixtures.random_noncrossing_face(rng, max_arcs=max_arcs)
+    assert _same_report(classify_pieces(d), reference_classify_pieces(d))
+
+
+def _two_chains(inner: int, outer: int):
+    """Two runs of parallel arcs between edges 0 and 1 around corner 0.
+
+    Arc i of the inner run joins slots 300 + i and 400 + i, arc i of the
+    outer run 100 + i and 200 + i, with arc 0 innermost.  A half-disk on
+    edge 0 between the runs makes the region there central, so the runs
+    are two chains of inner - 1 and outer - 1 pieces.  Returns the face
+    and the innermost arc of each run.
+    """
+    a = list(range(100, 100 + outer))
+    b = list(range(300, 300 + inner))
+    fm = FaceModel(face="T", edge_slots=(tuple(a[::-1] + [0, 1] + b[::-1]),
+                                         tuple(s + 100 for s in b + a), ()))
+    d = DividingSet(face=fm, arcs=((0, 1),) + tuple((s, s + 100) for s in b + a))
+    return d, (300, 400), (100, 200)
+
+
+@pytest.mark.parametrize("inner, outer, winner", [(2, 3, "outer"), (3, 3, "inner"),
+                                                  (4, 3, "inner")])
+def test_stray_chain_and_the_first_longest_stack(inner, outer, winner):
+    d, inner_arc, outer_arc = _two_chains(inner, outer)
+    rep = classify_pieces(d)
+    assert _same_report(rep, reference_classify_pieces(d))
+    assert list(rep.stacks) == [(0, 1)]
+    stack = rep.stacks[(0, 1)]
+    # post-order puts the inner run first, so it wins a tie
+    if winner == "inner":
+        assert (len(stack), stack[0].chords[1]) == (inner - 1, inner_arc)
+    else:
+        assert (len(stack), stack[0].chords[1]) == (outer - 1, outer_arc)
+    stray = [p for p in rep.pieces if p.role is PieceRole.STRAY]
+    assert len(stray) == inner + outer - 2 - len(stack)
+    assert [p for p in rep.pieces if p.role is not PieceRole.STACK] == list(rep.outside)
+
+
+@pytest.mark.parametrize("d", [
+    DividingSet(face=FaceModel(face="E", edge_slots=((), (), ())), arcs=()),
+    fixtures.face_with_boundary_parallel(),
+    fixtures.stack_face(3, 3, 3),
+    fixtures.stack_face(48, 0, 7),
+], ids=["empty", "boundary-parallel", "stacks-3-3-3", "stacks-48-0-7"])
+def test_fixed_faces_match_the_reference(d):
+    assert _same_report(classify_pieces(d), reference_classify_pieces(d))
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,7 +422,10 @@ def test_nested_stack_past_the_recursion_limit(n):
     fm = FaceModel(face="P", edge_slots=(tuple(range(2 * n - 2, -1, -2)),
                                          tuple(range(1, 2 * n, 2)), ()))
     d = DividingSet(face=fm, arcs=tuple((2 * i, 2 * i + 1) for i in range(n)))
-    assert classify_pieces(d).total == n + 1
+    assert dividing._region_split(d) == linked_list_region_split(d)
+    rep = classify_pieces(d)
+    assert _same_report(rep, reference_classify_pieces(d, split=linked_list_region_split))
+    assert rep.total == n + 1
 
 
 def test_random_noncrossing_face_draws_as_before():
@@ -303,3 +488,22 @@ def test_coverage_report_classifies_each_face_once(monkeypatch):
     rep = coverage_report(cfg, faces, max_outside=100, min_pieces_per_face=1)
     assert sorted(calls) == sorted(faces)
     assert rep.within_bounds
+
+
+def test_vertical_face_holds_only_the_pieces_between_its_arcs():
+    d = fixtures.stack_face(5, 0, 0, face="X")
+    rep = classify_pieces(d)
+    arcs = [tuple(sorted(oracle_arc_of(d, s))) for s in d.face.edge_slots[0][::-1]]
+    assert arcs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+    for lo, hi in ((1, 2), (0, 1), (1, 3), (0, 4), (2, 2)):
+        for bottom, top in ((arcs[lo], arcs[hi]), (arcs[hi][::-1], arcs[lo])):
+            pieces, why = prisms._stack_between(rep, bottom, top)
+            assert why is None
+            assert pieces == [p for p in rep.pieces if p.kind is PieceKind.ORDINARY
+                              and arcs[lo] < tuple(sorted(p.chords[0])) <= arcs[hi]]
+            assert len(pieces) == hi - lo
+    cfg = PrismConfiguration(
+        selections={"T": PrismSelection(frozenset({"s1"}))},
+        prisms={"T": (Prism("corner:s1", (VerticalFace("X", arcs[1], arcs[2]),)),)})
+    cov = coverage_report(cfg, {"X": d}, min_pieces_per_face=2)
+    assert (rep.total, cov.outside_pieces, cov.thin_faces) == (6, 5, (("X", 1),))

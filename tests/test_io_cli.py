@@ -214,6 +214,20 @@ def test_readme_examples_run(monkeypatch, capsys):
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        assert cli.main(["validate", str(DOCS / "theta.json")]) == 0
+    assert cli.main(["validate", "/nonexistent/nowhere.json"]) == 1
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-command"])
+    assert cli.main(["validate", str(DOCS / "theta.json")]) == 0
+    assert len(built) == 1
+
+
 def test_cli_missing_file_is_input_error(capsys):
     rc = cli.main(["validate", "/nonexistent/nowhere.json"])
     assert rc == 1

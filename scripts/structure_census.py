@@ -36,7 +36,8 @@ def census(doc: io.ComplexDocument, bound: int) -> None:
                 print(f"     {','.join(str(x) for x in w)}  (base)")
                 continue
             carried = carried_surface(b, w)
-            kinds = ",".join(c.classification.value for c in carried.components)
+            kinds = ",".join(kind.value for count, _, _, kind in carried.runs
+                             for _ in range(count))
             plan = lutz.plan_for(w, base, infos)
             parity = "".join(str(p) for p in plan.parity_vector)
             print(f"     {','.join(str(x) for x in w)}  components: {kinds}  "

@@ -121,18 +121,14 @@ def cmd_carry(args) -> int:
     w = _weight(doc, args.weight, name)
     carried = surface.carried_surface(b, w)
     lines = [f"surface {name} weight {','.join(str(x) for x in w)}: "
-             f"{len(carried.components)} components, "
+             f"{sum(run[0] for run in carried.runs)} components, "
              f"chi {carried.euler_char}, fully carried: "
              f"{surface.fully_carried(b, w)}"]
-    tails = {}    # one formatted tail per distinct (chi, orientable, class)
-    for c in carried.components:
-        key = c.euler_char, c.orientable, c.classification
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (f"chi {c.euler_char}, "
-                                 f"{'orientable' if c.orientable else 'non-orientable'}, "
-                                 f"{c.classification.value}")
-        lines.append(f"  component {c.index}: {tail}")
+    start = 0
+    for count, chi, orientable, kind in carried.runs:
+        tail = f"chi {chi}, {'orientable' if orientable else 'non-orientable'}, {kind.value}"
+        lines += [f"  component {i}: {tail}" for i in range(start, start + count)]
+        start += count
     print("\n".join(lines))
     if args.export_graph:
         _write_graph(args.export_graph, surface.carried_adjacency_graph(carried))

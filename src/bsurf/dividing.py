@@ -226,12 +226,6 @@ class HalfDiskSite:
     arc: tuple[int, int]
 
 
-def _separates(chord: tuple[int, int], x: int, y: int, pos) -> bool:
-    inside_x = _between(pos[chord[0]], pos[chord[1]], pos[x])
-    inside_y = _between(pos[chord[0]], pos[chord[1]], pos[y])
-    return inside_x != inside_y
-
-
 def _site_strands(d: DividingSet, site: SquareSite):
     strands = []
     for t in site.top_slots:
@@ -253,15 +247,26 @@ def _check_square(d: DividingSet, strands) -> None:
     rotated = ring[start:] + ring[:start]
     if rotated != [t1, t2, t3, b3, b2, b1]:
         raise ValueError("malformed square: strand ends are not in parallel position")
-    # no other arc may separate consecutive strands
-    strand_set = {tuple(sorted((t1, b1))), tuple(sorted((t2, b2))), tuple(sorted((t3, b3)))}
-    for (x1, y1), (x2, y2) in (((t1, b1), (t2, b2)), ((t2, b2), (t3, b3))):
-        for other in d.arcs:
-            if tuple(sorted(other)) in strand_set:
-                continue
-            if (_separates(other, x1, x2, pos) or _separates(other, x1, y2, pos)
-                    or _separates(other, y1, x2, pos) or _separates(other, y1, y2, pos)):
-                raise ValueError(f"malformed square: arc {other} crosses the square region")
+    # No other arc may separate consecutive strands.  The arcs do not cross,
+    # so both ends of a strand lie on one side of any other arc, and its top
+    # end tells which.  Reading "inside" between the arc's sorted positions
+    # flips every side or none.  An arc separating strands 1 and 2 is named
+    # before one separating only strands 2 and 3.
+    strand_slots = {t1, b1, t2, b2, t3, b3}
+    tops = [pos[t1], pos[t2], pos[t3]]
+    crossing = None
+    for other in d.arcs:
+        if other[0] in strand_slots:
+            continue
+        lo, hi = sorted((pos[other[0]], pos[other[1]]))
+        i1, i2, i3 = (lo < p < hi for p in tops)
+        if i1 != i2:
+            crossing = other
+            break
+        if crossing is None and i2 != i3:
+            crossing = other
+    if crossing is not None:
+        raise ValueError(f"malformed square: arc {crossing} crosses the square region")
 
 
 def bypass_surgery(d: DividingSet, site, side: Side = Side.POSITIVE) -> DividingSet:

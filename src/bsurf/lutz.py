@@ -38,7 +38,7 @@ def classify_generators(b: Optional[BranchedSurface],
             continue
         carried = carried_surface(b, u)
         if carried.connected:
-            cls = carried.components[0].classification
+            cls = carried.runs[0][3]
         else:
             cls = Classification.OTHER
         eff = tuple(2 * x for x in u) if cls is Classification.KLEIN_BOTTLE else u

@@ -348,20 +348,23 @@ class CoverageReport:
 
 def coverage_report(config: PrismConfiguration, dividing: dict[str, DividingSet],
                     max_outside: int = 64, min_pieces_per_face: int = 20) -> CoverageReport:
-    reports = {fid: classify_pieces(d) for fid, d in dividing.items()}
+    # Only the faces a vertical face names are classified.  Every face has
+    # len(d.arcs) + 1 pieces, one inside each arc and the root.
+    reports: dict[str, PieceReport] = {}
     covered: dict[str, set] = {}
     thin = []
     for tet, prism in config.all_prisms():
         for vf in prism.vertical_faces:
-            pieces, _ = _stack_between(reports[vf.face], vf.bottom, vf.top)
+            report = reports.get(vf.face)
+            if report is None:
+                report = reports[vf.face] = classify_pieces(dividing[vf.face])
+            pieces, _ = _stack_between(report, vf.bottom, vf.top)
             if pieces is None:
                 pieces = []
             covered.setdefault(vf.face, set()).update(p.index for p in pieces)
             if len(pieces) < min_pieces_per_face:
                 thin.append((vf.face, len(pieces)))
-    outside = 0
-    for fid, report in reports.items():
-        outside += report.total - len(covered.get(fid, ()))
+    outside = sum(len(d.arcs) + 1 for d in dividing.values()) - sum(map(len, covered.values()))
     return CoverageReport(outside_pieces=outside, thin_faces=tuple(thin),
                           max_outside=max_outside,
                           min_pieces_per_face=min_pieces_per_face)

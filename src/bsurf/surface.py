@@ -16,7 +16,10 @@ union-finds on integer face and corner ids, without building the cells.
 Each arc glues two runs of sheet copies, the upper and the lower stack
 against the merged one, so the pass steps through ranges of ids and
 fixes a run's flip and corner offsets once, not once per copy;
-``carried_adjacency_graph`` walks the same runs.
+``carried_adjacency_graph`` walks the same runs.  The components come
+back as maximal runs of consecutive components of one type, so a
+surface of many alike components, such as the parallel tori of a large
+weight, costs one tuple per run rather than one object per component.
 """
 
 from __future__ import annotations
@@ -294,17 +297,33 @@ class Component:
 
 @dataclass(frozen=True)
 class CarriedSurface:
+    """The surface carried at ``weight``, component by component.
+
+    ``runs`` holds one (count, euler_char, orientable, classification) per
+    maximal run of consecutive components of that type, in the order of
+    ``carried_surface``.  Maximal runs are canonical, so two surfaces are
+    equal iff their numbered components are.
+    """
+
     source: BranchedSurface
     weight: tuple[int, ...]
-    components: tuple[Component, ...]
+    runs: tuple[tuple[int, int, bool, Classification], ...]
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        """The runs expanded, one ``Component`` per component, numbered from 0."""
+        out: list[Component] = []
+        for count, *kind in self.runs:
+            out += [Component(i, *kind) for i in range(len(out), len(out) + count)]
+        return tuple(out)
 
     @property
     def euler_char(self) -> int:
-        return sum(c.euler_char for c in self.components)
+        return sum(count * chi for count, chi, _, _ in self.runs)
 
     @property
     def connected(self) -> bool:
-        return len(self.components) == 1
+        return len(self.runs) == 1 and self.runs[0][0] == 1
 
 
 def classify(euler_char: int, orientable: bool) -> Classification:
@@ -383,7 +402,8 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     one per arc with endpoints that the sector merges along (each merged
     copy is glued once there), minus one per corner merge.  A root holds
     the sum of its component's charges.  Components are numbered in root
-    order.
+    order, and one scan over the roots cuts them into maximal runs of
+    equal (chi, orientable).
     """
     weights = tuple(int(w) for w in weights)
     if not satisfies_switch(b, weights):
@@ -457,16 +477,18 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
                             cparent[rb] = ra
                             chi[rx] -= 1
 
-    kinds: dict[tuple[int, bool], Classification] = {}
-    components = []
+    runs = []
+    count = last_chi = last_bad = None
     for f, r in enumerate(parent):
         if f == r:
-            key = chi[f], not bad[f]
-            kind = kinds.get(key)
-            if kind is None:
-                kind = kinds[key] = classify(*key)
-            components.append(Component(len(components), *key, kind))
-    return CarriedSurface(source=b, weight=weights, components=tuple(components))
+            if chi[f] == last_chi and bad[f] == last_bad:
+                count += 1
+                continue
+            if count:
+                runs.append((count, last_chi, not last_bad, classify(last_chi, not last_bad)))
+            count, last_chi, last_bad = 1, chi[f], bad[f]
+    runs.append((count, last_chi, not last_bad, classify(last_chi, not last_bad)))
+    return CarriedSurface(source=b, weight=weights, runs=tuple(runs))
 
 
 def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
@@ -476,8 +498,7 @@ def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
     """
     w_klein = tuple(int(w) for w in w_klein)
     carried = carried_surface(b, w_klein)
-    if not (carried.connected
-            and carried.components[0].classification is Classification.KLEIN_BOTTLE):
+    if not (carried.connected and carried.runs[0][3] is Classification.KLEIN_BOTTLE):
         raise ValueError("input weight does not carry a Klein bottle component")
     return tuple(2 * w for w in w_klein)
 

@@ -5,6 +5,7 @@ that slices tuples, the pairwise crossing check, and lookups by linear
 scan.  They share no index with the library code.
 """
 
+import collections
 import itertools
 import random
 import sys
@@ -260,6 +261,33 @@ def oracle_random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
     return DividingSet(face=fm, arcs=tuple(tuple(a) for a in arcs))
 
 
+def _separates(chord: tuple[int, int], x: int, y: int, pos) -> bool:
+    inside_x = dividing._between(pos[chord[0]], pos[chord[1]], pos[x])
+    inside_y = dividing._between(pos[chord[0]], pos[chord[1]], pos[y])
+    return inside_x != inside_y
+
+
+def reference_check_square(d: DividingSet, strands) -> None:
+    """The square check with eight `_separates` per other arc."""
+    pos = d.face.positions()
+    (a1, t1, b1), (a2, t2, b2), (a3, t3, b3) = strands
+    # parallel pattern t1 t2 t3 b3 b2 b1 up to rotation, others interspersed
+    ring = sorted([t1, t2, t3, b3, b2, b1], key=lambda s: pos[s])
+    start = ring.index(t1)
+    rotated = ring[start:] + ring[:start]
+    if rotated != [t1, t2, t3, b3, b2, b1]:
+        raise ValueError("malformed square: strand ends are not in parallel position")
+    # no other arc may separate consecutive strands
+    strand_set = {tuple(sorted((t1, b1))), tuple(sorted((t2, b2))), tuple(sorted((t3, b3)))}
+    for (x1, y1), (x2, y2) in (((t1, b1), (t2, b2)), ((t2, b2), (t3, b3))):
+        for other in d.arcs:
+            if tuple(sorted(other)) in strand_set:
+                continue
+            if (_separates(other, x1, x2, pos) or _separates(other, x1, y2, pos)
+                    or _separates(other, y1, x2, pos) or _separates(other, y1, y2, pos)):
+                raise ValueError(f"malformed square: arc {other} crosses the square region")
+
+
 # ---------------------------------------------------------------------------
 # random faces: shuffled slot labels, empty edges, arcs in any order and
 # orientation
@@ -292,6 +320,22 @@ def _any_arcs(rng: random.Random, order):
     slots = list(order)
     rng.shuffle(slots)
     return tuple((slots[i], slots[i + 1]) for i in range(0, len(slots), 2))
+
+
+def _square_outcome(check, d: DividingSet, strands) -> str:
+    try:
+        check(d, strands)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _square_sites(rng: random.Random, d: DividingSet):
+    """Strands of three random distinct arcs, in every order and orientation."""
+    for _ in range(3):
+        for arcs in itertools.permutations(rng.sample(d.arcs, 3)):
+            for turns in itertools.product((False, True), repeat=3):
+                yield [(a, *(a[::-1] if turn else a)) for a, turn in zip(arcs, turns)]
 
 
 def _same_report(got: PieceReport, want: PieceReport) -> bool:
@@ -376,6 +420,34 @@ def test_crossing_check_matches_pairwise_oracle(rng, max_arcs, planar):
         with pytest.raises(ValueError) as exc:
             DividingSet(face=fm, arcs=arcs)
         assert str(exc.value) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 30))
+def test_square_check_matches_the_pairwise_reference(rng, max_arcs):
+    fm = _random_face(rng, max_arcs)
+    d = DividingSet(face=fm, arcs=_noncrossing_arcs(rng, fm.slots))
+    if len(d.arcs) < 3:
+        return
+    for strands in _square_sites(rng, d):
+        assert (_square_outcome(dividing._check_square, d, strands)
+                == _square_outcome(reference_check_square, d, strands))
+
+
+def test_square_check_reference_draws_valid_and_crossing_squares():
+    outcomes = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        d = fixtures.random_noncrossing_face(rng, max_arcs=12)
+        if len(d.arcs) < 3:
+            continue
+        for strands in _square_sites(rng, d):
+            got = _square_outcome(dividing._check_square, d, strands)
+            assert got == _square_outcome(reference_check_square, d, strands)
+            outcomes[got.split(": arc")[0]] += 1
+    assert set(outcomes) == {"ok", "malformed square",
+                             "malformed square: strand ends are not in parallel position"}
+    assert min(outcomes.values()) >= 50
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,6 +560,33 @@ def test_coverage_report_classifies_each_face_once(monkeypatch):
     rep = coverage_report(cfg, faces, max_outside=100, min_pieces_per_face=1)
     assert sorted(calls) == sorted(faces)
     assert rep.within_bounds
+
+
+def test_coverage_report_classifies_only_the_faces_vertical_faces_name(monkeypatch):
+    cfg, faces = _three_stack_config()
+    extra = fixtures.stack_face(4, 2, 1, face="Z")
+    base = coverage_report(cfg, faces).outside_pieces
+    calls = _counting(monkeypatch)
+    rep = coverage_report(cfg, {**faces, "Z": extra})
+    assert "Z" not in calls
+    assert rep.outside_pieces == base + classify_pieces(extra).total
+
+
+def test_coverage_report_names_a_missing_face():
+    cfg, faces = _three_stack_config()
+    first = next(vf.face for _, p in cfg.all_prisms() for vf in p.vertical_faces)
+    del faces[first]
+    with pytest.raises(KeyError) as err:
+        coverage_report(cfg, faces)
+    assert err.value.args == (first,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 300))
+def test_a_face_has_one_piece_per_arc_and_the_root(rng, max_arcs):
+    # coverage_report counts the faces no vertical face names by this
+    d = fixtures.random_noncrossing_face(rng, max_arcs=max_arcs)
+    assert classify_pieces(d).total == len(d.arcs) + 1
 
 
 def test_vertical_face_holds_only_the_pieces_between_its_arcs():

@@ -257,13 +257,13 @@ def test_cli_graph_export(tmp_path, capsys):
 
 def _reference_carry_out(name, b, w):
     """`bsurf carry` stdout in its line format, from the reference assembly."""
-    carried = _reference_carried_surface(b, w)
+    components = _reference_carried_surface(b, w)
     lines = [f"surface {name} weight {','.join(str(x) for x in w)}: "
-             f"{len(carried.components)} components, chi {carried.euler_char}, "
+             f"{len(components)} components, chi {sum(c.euler_char for c in components)}, "
              f"fully carried: {all(x > 0 for x in w)}"]
     lines += [f"  component {c.index}: chi {c.euler_char}, "
               f"{'orientable' if c.orientable else 'non-orientable'}, {c.classification.value}"
-              for c in carried.components]
+              for c in components]
     return "".join(line + "\n" for line in lines)
 
 
@@ -284,6 +284,19 @@ def test_cli_carry_matches_the_reference_on_shipped_documents(path, capsys):
             assert cli.main(["carry", str(path), "--surface", name,
                              "--weight", ",".join(str(x) for x in w)]) == 0
             assert capsys.readouterr().out == _reference_carry_out(name, b, w)
+
+
+def test_cli_carry_matches_the_reference_on_a_large_twisted_theta(capsys):
+    # an odd coefficient of (1, 0, 1) leaves one Klein bottle among the tori,
+    # so the components come in three runs
+    b = io.load(DOCS / "theta.json").surfaces["theta-twisted"]
+    a, c = 37_501, 62_499
+    w = (a, c, a + c)
+    assert sum(w) == 2 * 10 ** 5
+    assert len(surface.carried_surface(b, w).runs) == 3
+    assert cli.main(["carry", str(DOCS / "theta.json"), "--surface", "theta-twisted",
+                     "--weight", ",".join(str(x) for x in w)]) == 0
+    assert capsys.readouterr().out == _reference_carry_out("theta-twisted", b, w)
 
 
 @settings(max_examples=60, deadline=None,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -335,7 +336,8 @@ def _stack_pairs(arc: BranchArc, w_u: int, w_l: int):
             yield k, (Side.LOWER, copy), arc.reversed_lower
 
 
-def _reference_carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurface:
+def _reference_carried_surface(b: BranchedSurface,
+                               weights: Sequence[int]) -> tuple[Component, ...]:
     """Assemble the surface carried at a weight vector.
 
     Faces are (sector, copy); each branch arc glues the merged stack to
@@ -458,7 +460,7 @@ def _reference_carried_surface(b: BranchedSurface, weights: Sequence[int]) -> Ca
         chi = interior[i] - edges[i] + vertices[i]
         orient = not nonorientable[i]
         components.append(Component(i, chi, orient, classify(chi, orient)))
-    return CarriedSurface(source=b, weight=weights, components=tuple(components))
+    return tuple(components)
 
 
 def _reference_carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, list[str]]]:
@@ -537,9 +539,9 @@ def _redrawn(sec: Sector, turn: bool, shift: int) -> Sector:
     return dataclasses.replace(sec, boundary_cycles=tuple(cycles))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_carried_surface_matches_reference(data):
+def _drawn_weight(data):
+    """A random surface, with redrawn and possibly non-orientable sectors,
+    and a nonzero weight on it, or None when the draw carries nothing."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     kind = data.draw(st.sampled_from(["fixture", "polygon", "loops"]))
     if kind == "fixture":
@@ -560,12 +562,39 @@ def test_carried_surface_matches_reference(data):
     assert validate(surf).ok
     gens = minimal_generators(switch_system(surf)).basis
     if not gens:
-        return
+        return None
     coeffs = data.draw(st.lists(st.integers(0, 6), min_size=len(gens), max_size=len(gens)))
     w = combine(gens, coeffs)
-    if not any(w):
+    return (surf, w) if any(w) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carried_surface_matches_reference(data):
+    drawn = _drawn_weight(data)
+    if drawn is None:
         return
-    assert carried_surface(surf, w) == _reference_carried_surface(surf, w)
+    surf, w = drawn
+    s = carried_surface(surf, w)
+    assert s.components == _reference_carried_surface(surf, w)
+    assert s.weight == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carried_runs_are_maximal_and_agree_with_the_components(data):
+    drawn = _drawn_weight(data)
+    if drawn is None:
+        return
+    s = carried_surface(*drawn)
+    comps = s.components
+    assert [c.index for c in comps] == list(range(len(comps)))
+    # groupby cuts maximal runs of positive length, so a run of count 0 or
+    # two neighbouring runs of one type would not come back
+    key = lambda c: (c.euler_char, c.orientable, c.classification)
+    assert s.runs == tuple((len(list(run)), *k) for k, run in itertools.groupby(comps, key))
+    assert s.euler_char == sum(c.euler_char for c in comps)
+    assert s.connected == (len(comps) == 1)
 
 
 @pytest.mark.parametrize("make", [fixtures.random_wedge_surface,
@@ -578,7 +607,9 @@ def test_carried_surface_matches_reference_on_large_wedges(make):
     a = rng.randint(2_000, 8_000)
     w = combine(((1, 1, 0), (1, 0, 1)), (a, 10_000 - a))
     assert sum(w) == 2 * 10 ** 4
-    assert carried_surface(surf, w) == _reference_carried_surface(surf, w)
+    s = carried_surface(surf, w)
+    assert s.components == _reference_carried_surface(surf, w)
+    assert s.weight == w
 
 
 @settings(max_examples=100, deadline=None)
@@ -602,7 +633,8 @@ def test_carried_surface_and_graph_match_reference_on_a_large_two_vertex_wedge()
     w = combine(((1, 1, 0), (1, 0, 1)), (6_000, 4_000))
     assert sum(w) == 2 * 10 ** 4
     s = carried_surface(surf, w)
-    assert s == _reference_carried_surface(surf, w)
+    assert s.components == _reference_carried_surface(surf, w)
+    assert s.weight == w
     assert carried_adjacency_graph(s) == _reference_carried_adjacency_graph(s)
 
 

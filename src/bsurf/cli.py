@@ -23,19 +23,11 @@ def _write_graph(path: str, graph) -> None:
 def cmd_validate(args) -> int:
     doc = io.load(args.document)
     failures = []
-    for name, b in sorted(doc.surfaces.items()):
-        report = surface.validate(b)
-        status = "pass" if report.ok else "FAIL"
-        print(f"surface {name}: {status}")
-        for v in report.violations:
-            print(f"  {v}")
-            failures.append(f"surface {name}")
-    for name, fd in sorted(doc.domains.items()):
-        report = domain.validate_domain(fd)
-        print(f"domain {name}: {'pass' if report.ok else 'FAIL'}")
-        for v in report.violations:
-            print(f"  {v}")
-            failures.append(f"domain {name}")
+    # io.load rejects a document whose surfaces or domains break an invariant
+    for name in sorted(doc.surfaces):
+        print(f"surface {name}: pass")
+    for name in sorted(doc.domains):
+        print(f"domain {name}: pass")
     if doc.dividing_sets:
         try:
             total = dividing.tb_triangulation(list(doc.dividing_sets.values()))

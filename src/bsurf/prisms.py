@@ -7,6 +7,11 @@ corner prisms plus at most one of three diagonal prisms.  Holonomy is
 the composed index shift of the order-preserving matchings transporting
 singular-line endpoints around a vertex corner; the validator accepts
 exactly the circuits composing to -1.
+
+``admissible`` and ``coverage_report`` share one walk over the vertical
+faces that classifies each named face once.  Every piece of a
+``classify_pieces`` stack is ordinary, so a vertical face whose arcs
+bound a run of one stack holds only ordinary pieces.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dividing import (DividingSet, FaceModel, PieceKind, PieceReport, classify_pieces,
-                       tb_triangulation)
+from .dividing import DividingSet, FaceModel, PieceReport, classify_pieces, tb_triangulation
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,15 @@ def maximal_selections(t: Tetrahedron) -> tuple[PrismSelection, ...]:
     return tuple(s for s in sels if s.size == 5)
 
 
-def selection_order(p: PrismSelection, q: PrismSelection) -> str:
-    le, ge = p.subsumed_by(q), q.subsumed_by(p)
-    if le and ge:
-        return "equal"
+def _order(le: bool, ge: bool) -> str:
+    """The verdict on p <= q and q <= p."""
     if le:
-        return "less-equal"
-    if ge:
-        return "greater"
-    return "incomparable"
+        return "equal" if ge else "less-equal"
+    return "greater" if ge else "incomparable"
+
+
+def selection_order(p: PrismSelection, q: PrismSelection) -> str:
+    return _order(p.subsumed_by(q), q.subsumed_by(p))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def validate_configuration(config: PrismConfiguration,
 
 
 def _stack_between(report: PieceReport, bottom, top):
-    """Pieces between two arcs of one stack, or None with a reason.
+    """Pieces between two arcs of one stack, or None.
 
     A stack runs innermost piece first and each piece lists its own arc
     first, so its arcs in nesting order are the innermost piece's inner
@@ -229,40 +233,46 @@ def _stack_between(report: PieceReport, bottom, top):
         arcs = [tuple(sorted(c)) for c in (inner, *(p.chords[0] for p in chain))]
         if b in arcs and t in arcs:
             lo, hi = sorted((arcs.index(b), arcs.index(t)))
-            return list(chain[lo:hi]), None
-    return None, f"arcs {bottom} and {top} do not bound a run of one ordinary stack"
+            return list(chain[lo:hi])
+    return None
+
+
+def _face_walk(config: PrismConfiguration, dividing: dict[str, DividingSet]):
+    """Each vertical face in order, with its face's piece report (None without
+    dividing data) and its pieces (None unless its arcs bound a run of one
+    stack).  Each named face is classified once, by ``classify_pieces``."""
+    reports: dict[str, PieceReport] = {}
+    for _, prism in config.all_prisms():
+        for vf in prism.vertical_faces:
+            if vf.face not in dividing:
+                yield vf, None, None
+                continue
+            report = reports.get(vf.face)
+            if report is None:
+                report = reports[vf.face] = classify_pieces(dividing[vf.face])
+            yield vf, report, _stack_between(report, vf.bottom, vf.top)
 
 
 def admissible(config: PrismConfiguration,
                dividing: dict[str, DividingSet]) -> AdmissibilityReport:
-    """Every vertical prism face must be a union of ordinary pieces off the corners."""
-    reports: dict[str, PieceReport] = {}
-    for tet, prism in config.all_prisms():
-        for vf in prism.vertical_faces:
-            if vf.face not in dividing:
-                return AdmissibilityReport(False, f"face {vf.face}: no dividing data")
-            d = dividing[vf.face]
-            known = {tuple(sorted(a)) for a in d.arcs}
-            for arc in (vf.bottom, vf.top):
-                if tuple(sorted(arc)) not in known:
-                    return AdmissibilityReport(
-                        False, f"face {vf.face}: arc {arc} is not a dividing component")
-            report = reports.get(vf.face)
-            if report is None:
-                report = reports[vf.face] = classify_pieces(d)
-            pieces, why = _stack_between(report, vf.bottom, vf.top)
-            if pieces is None:
-                touching = [p for p in report.pieces
-                            if tuple(sorted(vf.bottom)) in {tuple(sorted(c)) for c in p.chords}
-                            or tuple(sorted(vf.top)) in {tuple(sorted(c)) for c in p.chords}]
-                lam = any(any(iv for iv in p.corner_intervals) for p in touching)
-                where = "safety triangle" if lam else "extraordinary piece"
+    """Every vertical prism face must be a run of one stack: stack pieces are
+    ordinary and off the corners.  The certificate names the first vertical
+    face that fails, in ``config.all_prisms()`` order."""
+    for vf, report, pieces in _face_walk(config, dividing):
+        if report is None:
+            return AdmissibilityReport(False, f"face {vf.face}: no dividing data")
+        known = {tuple(sorted(a)) for a in dividing[vf.face].arcs}
+        for arc in (vf.bottom, vf.top):
+            if tuple(sorted(arc)) not in known:
                 return AdmissibilityReport(
-                    False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets a {where}")
-            if any(p.kind is not PieceKind.ORDINARY for p in pieces):
-                return AdmissibilityReport(
-                    False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} "
-                           "contains an extraordinary piece")
+                    False, f"face {vf.face}: arc {arc} is not a dividing component")
+        if pieces is None:
+            ends = {tuple(sorted(vf.bottom)), tuple(sorted(vf.top))}
+            lam = any(any(p.corner_intervals) for p in report.pieces
+                      if ends & {tuple(sorted(c)) for c in p.chords})
+            where = "safety triangle" if lam else "extraordinary piece"
+            return AdmissibilityReport(
+                False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets a {where}")
     return AdmissibilityReport(True)
 
 
@@ -282,26 +292,11 @@ def config_order(p: PrismConfiguration, q: PrismConfiguration,
     """Containment up to the slot normal form: every prism of p inside one of q."""
 
     def le(c1: PrismConfiguration, c2: PrismConfiguration) -> bool:
-        for tet, prism in c1.all_prisms():
-            others = c2.prisms.get(tet, ())
-            candidates = [o for o in others if o.kind == prism.kind]
-            hit = False
-            for o in candidates:
-                if _prism_inside(prism, o, dividing):
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
+        return all(any(o.kind == prism.kind and _prism_inside(prism, o, dividing)
+                       for o in c2.prisms.get(tet, ()))
+                   for tet, prism in c1.all_prisms())
 
-    a, b = le(p, q), le(q, p)
-    if a and b:
-        return "equal"
-    if a:
-        return "less-equal"
-    if b:
-        return "greater"
-    return "incomparable"
+    return _order(le(p, q), le(q, p))
 
 
 def _prism_inside(p: Prism, q: Prism, dividing) -> bool:
@@ -350,20 +345,15 @@ def coverage_report(config: PrismConfiguration, dividing: dict[str, DividingSet]
                     max_outside: int = 64, min_pieces_per_face: int = 20) -> CoverageReport:
     # Only the faces a vertical face names are classified.  Every face has
     # len(d.arcs) + 1 pieces, one inside each arc and the root.
-    reports: dict[str, PieceReport] = {}
     covered: dict[str, set] = {}
     thin = []
-    for tet, prism in config.all_prisms():
-        for vf in prism.vertical_faces:
-            report = reports.get(vf.face)
-            if report is None:
-                report = reports[vf.face] = classify_pieces(dividing[vf.face])
-            pieces, _ = _stack_between(report, vf.bottom, vf.top)
-            if pieces is None:
-                pieces = []
-            covered.setdefault(vf.face, set()).update(p.index for p in pieces)
-            if len(pieces) < min_pieces_per_face:
-                thin.append((vf.face, len(pieces)))
+    for vf, report, pieces in _face_walk(config, dividing):
+        if report is None:
+            raise KeyError(vf.face)
+        pieces = pieces or []
+        covered.setdefault(vf.face, set()).update(p.index for p in pieces)
+        if len(pieces) < min_pieces_per_face:
+            thin.append((vf.face, len(pieces)))
     outside = sum(len(d.arcs) + 1 for d in dividing.values()) - sum(map(len, covered.values()))
     return CoverageReport(outside_pieces=outside, thin_faces=tuple(thin),
                           max_outside=max_outside,
@@ -408,19 +398,21 @@ class Circuit:
     corners: tuple[tuple[str, int], ...]
 
 
+def _circuit_walk(h: HolonomyData, circuit: Circuit):
+    """(edge, next face, index shift) at each corner of the circuit, in order."""
+    corners = circuit.corners
+    for i, (face, edge) in enumerate(corners):
+        nxt = corners[(i + 1) % len(corners)][0]
+        yield edge, nxt, h.shift(edge, face, nxt)
+
+
 def holonomy(h: HolonomyData, circuit: Circuit, t: Tetrahedron) -> int:
     """Composed index shift of the matchings around the circuit."""
-    edge_by_index = {e.index: e for e in t.edges}
-    corners = circuit.corners
-    last_edge = edge_by_index[corners[-1][1]]
-    if corners[0][0] not in last_edge.faces:
+    first, last = circuit.corners[0][0], circuit.corners[-1][1]
+    if first not in {e.index: e for e in t.edges}[last].faces:
         raise ValueError(f"circuit around {circuit.vertex} does not close up: "
-                         f"edge {last_edge.index} does not return to face {corners[0][0]}")
-    total = 0
-    for i, (face, edge) in enumerate(corners):
-        nxt_face = corners[(i + 1) % len(corners)][0]
-        total += h.shift(edge, face, nxt_face)
-    return total
+                         f"edge {last} does not return to face {first}")
+    return sum(shift for _, _, shift in _circuit_walk(h, circuit))
 
 
 def canonical_circuits(t: Tetrahedron) -> tuple[Circuit, ...]:
@@ -431,22 +423,14 @@ def canonical_circuits(t: Tetrahedron) -> tuple[Circuit, ...]:
         edges = t.edges_at(v)
         if len(faces) != 3 or len(edges) != 3:
             continue
-        corners = []
-        face = faces[0]
-        used = set()
+        corners, face, used = [], faces[0], set()
         for _ in range(3):
-            nxt = None
-            for e in edges:
-                if e.index in used or face not in e.faces:
-                    continue
-                other = e.faces[0] if e.faces[1] == face else e.faces[1]
-                nxt = (face, e.index, other)
+            e = next((e for e in edges if e.index not in used and face in e.faces), None)
+            if e is None:
                 break
-            if nxt is None:
-                break
-            corners.append((nxt[0], nxt[1]))
-            used.add(nxt[1])
-            face = nxt[2]
+            corners.append((face, e.index))
+            used.add(e.index)
+            face = e.faces[0] if e.faces[1] == face else e.faces[1]
         if len(corners) == 3:
             out.append(Circuit(vertex=v, corners=tuple(corners)))
     return tuple(out)
@@ -503,7 +487,7 @@ def validate_holonomy(h: HolonomyData, t: Tetrahedron,
             findings.append(HolonomyFinding(c, val, "non-minimal",
                                             f"holonomy {val} certifies a non-minimal triangulation"))
     ok = all(f.verdict == "ok" for f in findings)
-    return HolonomyReport(ok=ok, findings=findings)
+    return HolonomyReport(ok=ok, findings=tuple(findings))
 
 
 @dataclass(frozen=True)
@@ -524,11 +508,7 @@ def corner_transport(h: HolonomyData, circuit: Circuit, t: Tetrahedron,
     the constructive adjacency behind the prism-extension argument.
     """
     idx = start_index
-    edge_by_index = {e.index: e for e in t.edges}
-    corners = circuit.corners
-    for i, (face, edge) in enumerate(corners):
-        nxt_face = corners[(i + 1) % len(corners)][0]
-        shift = h.shift(edge, face, nxt_face)
+    for edge, nxt_face, shift in _circuit_walk(h, circuit):
         idx += shift
         if stack_sizes is not None:
             size = stack_sizes.get((edge, nxt_face))

@@ -586,7 +586,11 @@ def test_coverage_report_names_a_missing_face():
 def test_a_face_has_one_piece_per_arc_and_the_root(rng, max_arcs):
     # coverage_report counts the faces no vertical face names by this
     d = fixtures.random_noncrossing_face(rng, max_arcs=max_arcs)
-    assert classify_pieces(d).total == len(d.arcs) + 1
+    rep = classify_pieces(d)
+    assert rep.total == len(d.arcs) + 1
+    # admissible relies on this: a span of one stack holds only ordinary pieces
+    assert all(p.kind is PieceKind.ORDINARY and p.role is PieceRole.STACK
+               for chain in rep.stacks.values() for p in chain)
 
 
 def test_vertical_face_holds_only_the_pieces_between_its_arcs():
@@ -596,8 +600,8 @@ def test_vertical_face_holds_only_the_pieces_between_its_arcs():
     assert arcs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
     for lo, hi in ((1, 2), (0, 1), (1, 3), (0, 4), (2, 2)):
         for bottom, top in ((arcs[lo], arcs[hi]), (arcs[hi][::-1], arcs[lo])):
-            pieces, why = prisms._stack_between(rep, bottom, top)
-            assert why is None
+            pieces = prisms._stack_between(rep, bottom, top)
+            assert pieces is not None
             assert pieces == [p for p in rep.pieces if p.kind is PieceKind.ORDINARY
                               and arcs[lo] < tuple(sorted(p.chords[0])) <= arcs[hi]]
             assert len(pieces) == hi - lo

@@ -110,6 +110,41 @@ def test_cli_validate_flags_zero_holonomy(tmp_path, capsys):
     assert "circuit" in out
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("complex.json", "surface theta: pass\n"
+                     "domain theta-domain: pass\n"
+                     "tb_triangulation: 24 over 4 faces: pass\n"
+                     "holonomy G: pass\n"
+                     "prism configuration corner: admissible\n"),
+    ("theta.json", "surface theta: pass\n"
+                   "surface theta-twisted: pass\n"),
+    ("three_sheets.json", "surface three-sheets: pass\n"
+                          "domain three-slabs: pass\n"),
+])
+def test_cli_validate_output_on_shipped_documents(name, expected, capsys):
+    assert cli.main(["validate", str(DOCS / name)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_cli_validate_prints_every_prism_configuration_fault(tmp_path, capsys):
+    raw = json.loads((DOCS / "complex.json").read_text())
+    tet = raw["prism_configurations"][0]["tets"]["G"]
+    tet["prisms"][0]["vertical_faces"][1]["top"] = [6, 7]      # across two stacks
+    tet["prisms"].append(copy.deepcopy(tet["prisms"][0]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "surface theta: pass\n"
+        "domain theta-domain: pass\n"
+        "tb_triangulation: 24 over 4 faces: pass\n"
+        "holonomy G: pass\n"
+        "prism configuration corner: FAIL\n"
+        "  tetrahedron G: duplicate prism kinds ['corner:s1', 'corner:s1']\n"
+        "  tetrahedron G: 2 prisms exceed the declared selection of size 1\n"
+        "  face F124: vertical face (0, 1)..(6, 7) meets a safety triangle\n", "")
+
+
 def test_cli_hilbert_reports_basis(capsys):
     rc = cli.main(["hilbert", str(DOCS / "theta.json"), "--surface", "theta",
                    "--oracle-bound", "2"])

@@ -359,3 +359,69 @@ def test_duplicate_prism_kind_in_one_tetrahedron_rejected():
         prisms={"G1": (Prism("corner:s1", (vf,)), Prism("corner:s1", (vf,)))})
     problems = validate_configuration(cfg, dividing)
     assert any("duplicate" in p or "exceed" in p for p in problems)
+
+
+# ---------------------------------------------------------------------------
+# admissibility certificates, by exact text
+
+
+def _one_face_config(*vertical_faces):
+    return PrismConfiguration(
+        selections={"T": PrismSelection(frozenset({"s1"}))},
+        prisms={"T": (Prism("corner:s1", vertical_faces),)})
+
+
+@pytest.mark.parametrize("bottom, top, certificate", [
+    ((0, 2), (4, 5), "face X: arc (0, 2) is not a dividing component"),
+    ((5, 4), (7, 8), "face X: arc (7, 8) is not a dividing component"),
+    ((0, 1), (6, 7), "face X: vertical face (0, 1)..(6, 7) meets a safety triangle"),
+    ((4, 5), (10, 11), "face X: vertical face (4, 5)..(10, 11) meets a extraordinary piece"),
+])
+def test_admissible_certificates_by_exact_text(bottom, top, certificate):
+    # stack_face(3, 3, 3): arcs (0, 1), (6, 7) and (12, 13) cut off the corners,
+    # and the outermost arcs (4, 5), (10, 11) and (16, 17) bound the central piece
+    d = fixtures.stack_face(3, 3, 3, face="X")
+    report = admissible(_one_face_config(VerticalFace("X", bottom, top)), {"X": d})
+    assert (report.admissible, report.certificate) == (False, certificate)
+
+
+def test_admissible_names_a_face_without_dividing_data():
+    d = fixtures.stack_face(3, 3, 3, face="X")
+    cfg = _one_face_config(VerticalFace("X", (0, 1), (4, 5)), VerticalFace("Y", (0, 1), (4, 5)))
+    assert admissible(cfg, {"X": d}).certificate == "face Y: no dividing data"
+    assert admissible(cfg, {"X": d, "Y": fixtures.stack_face(3, 3, 3, face="Y")})
+
+
+def test_admissible_reports_the_first_failing_vertical_face():
+    d = fixtures.stack_face(3, 3, 3, face="X")
+    cfg = _one_face_config(VerticalFace("X", (0, 1), (4, 5)), VerticalFace("X", (0, 1), (6, 7)),
+                           VerticalFace("X", (0, 2), (4, 5)), VerticalFace("Y", (0, 1), (4, 5)))
+    assert admissible(cfg, {"X": d}).certificate == (
+        "face X: vertical face (0, 1)..(6, 7) meets a safety triangle")
+
+
+def test_config_order_incomparable():
+    fid = "X"
+    d = fixtures.stack_face(3, 3, 3, face=fid)
+    chords = [(0, 1), (2, 3), (4, 5)]
+
+    def config(kind, lo, hi):
+        vf = VerticalFace(face=fid, bottom=chords[lo], top=chords[hi])
+        return PrismConfiguration(selections={"G": PrismSelection(frozenset({"s1", "s2"}))},
+                                  prisms={"G": (Prism(kind=kind, vertical_faces=(vf,)),)})
+
+    low, high = config("corner:s1", 0, 1), config("corner:s1", 1, 2)
+    assert config_order(low, high, {fid: d}) == "incomparable"
+    assert config_order(high, low, {fid: d}) == "incomparable"
+    other = config("corner:s2", 0, 1)
+    assert config_order(low, other, {fid: d}) == "incomparable"
+    assert config_order(low, config("corner:s1", 0, 2), {fid: d}) == "less-equal"
+
+
+def test_equal_holonomy_reports_hash_alike(tetra):
+    t, _ = tetra
+    h = fixtures.holonomy_all_minus_one(t)
+    a, b = validate_holonomy(h, t), validate_holonomy(h, t)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert isinstance(a.findings, tuple)

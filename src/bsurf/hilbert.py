@@ -29,7 +29,6 @@ class ConeSystem:
 
     dimension: int
     relations: tuple[tuple[int, ...], ...] = ()
-    provenance: object = None
 
     def __post_init__(self):
         if self.dimension < 1:

@@ -11,7 +11,7 @@ Saving is canonical (sorted keys, fixed indentation) so round-trips are byte-exa
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -223,7 +223,7 @@ _PRISM_CONFIG = _entity(dict, ("name", str), ("tets", _map(_TET_PRISMS)))
 
 def _section(word: str, key: str, stem: Optional[str], entity):
     """Named entities, decoded to {name: (location, value)} and saved sorted by
-    name; names default to ``stem`` + index, or are required if it is None."""
+    name under ``key``; names default to ``stem`` + index, or are required if it is None."""
     def dec(v, _, section):     # located by the section key, then by entity name
         if type(v) is not list:
             _fail("list", v, section, "")
@@ -240,7 +240,8 @@ def _section(word: str, key: str, stem: Optional[str], entity):
                 raise DocumentError("parse error", loc, "declared twice")
             out[name] = loc, value
         return out
-    return dec, lambda named: [entity[1](x) for _, x in sorted(named.items())]
+    return dec, lambda named: [entity[1]({**(x if type(x) is dict else vars(x)), key: name})
+                               for name, x in sorted(named.items())]
 
 
 # Sections are resolved in this order, so each refers only to earlier ones.
@@ -297,7 +298,7 @@ def loads(text: str) -> ComplexDocument:
 
     for name, (where, b) in raw["branched_surfaces"].items():
         _first_violation(surface.validate(b), where, "branched_surface_core")
-        doc.surfaces[name] = b
+        doc.surfaces[name] = b if b.name == name else replace(b, name=name)
 
     for name, (where, w) in raw["weights"].items():
         b, vec = _ref(doc.surfaces, w["surface"], where, "surface"), w["entries"]
@@ -379,29 +380,28 @@ def loads(text: str) -> ComplexDocument:
 
 
 def _surface_name(doc: ComplexDocument, fd, domain_name: str) -> str:
-    for k, v in doc.surfaces.items():
-        if v is fd.quotient or v == fd.quotient:
-            return k
+    """The key of the domain's quotient: the identical surface, else an equal one."""
+    names = [k for k, v in doc.surfaces.items() if v is fd.quotient]
+    for k in names or [k for k, v in doc.surfaces.items() if v == fd.quotient]:
+        return k
     raise DocumentError("reference error", f"fibered_domain {domain_name}",
                         "its quotient surface is not declared in the document")
 
 
 def dumps(doc: ComplexDocument) -> str:
-    """Canonical text; names and cross-references fill fields the values lack."""
+    """Canonical text; cross-references fill fields the values lack."""
     raw = _DOCUMENT[1](dict(
         format_version=doc.version, branched_surfaces=doc.surfaces, faces=doc.faces,
-        tetrahedra=doc.tetrahedra,
-        weights={n: dict(name=n, surface=s, entries=v) for n, (s, v) in doc.weights.items()},
-        fibered_domains={n: dict(vars(fd), name=n, surface=_surface_name(doc, fd, n))
+        dividing_sets=doc.dividing_sets, tetrahedra=doc.tetrahedra, holonomy=doc.holonomy,
+        weights={n: dict(surface=s, entries=v) for n, (s, v) in doc.weights.items()},
+        fibered_domains={n: dict(vars(fd), surface=_surface_name(doc, fd, n))
                          for n, fd in doc.domains.items()},
-        dividing_sets={fid: dict(vars(d), face=fid) for fid, d in doc.dividing_sets.items()},
-        holonomy={tid: dict(vars(h), tet=tid) for tid, h in doc.holonomy.items()},
-        ensembles={n: dict(name=n, domain=dn, structures=[dict(vars(x), angles=x.angle.values)
-                                                          for x in xs])
+        ensembles={n: dict(domain=dn, structures=[dict(vars(x), angles=x.angle.values)
+                                                  for x in xs])
                    for n, (dn, xs) in doc.ensembles.items()},
         prism_configurations={
-            n: dict(name=n, tets={tid: dict(vars(sel), prisms=cfg.prisms.get(tid, ()))
-                                  for tid, sel in cfg.selections.items()})
+            n: dict(tets={tid: dict(vars(sel), prisms=cfg.prisms.get(tid, ()))
+                          for tid, sel in cfg.selections.items()})
             for n, cfg in doc.prism_configs.items()}))
     return json.dumps(raw, indent=1, sort_keys=True) + "\n"
 

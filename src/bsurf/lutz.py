@@ -24,18 +24,10 @@ class GeneratorInfo:
     effective: tuple[int, ...]    # weight itself for tori, doubled for Klein bottles
 
 
-def classify_generators(b: Optional[BranchedSurface],
-                        g: MinimalGenerators) -> tuple[GeneratorInfo, ...]:
-    """Tag each generator torus / klein_bottle / other via its carried surface.
-
-    Without a backing surface (abstract cone systems) every generator is
-    treated as a torus-like atom.
-    """
+def classify_generators(b: BranchedSurface, g: MinimalGenerators) -> tuple[GeneratorInfo, ...]:
+    """Tag each generator torus / klein_bottle / other via its carried surface."""
     infos = []
     for i, u in enumerate(g.basis):
-        if b is None:
-            infos.append(GeneratorInfo(i, u, Classification.TORUS, u))
-            continue
         carried = carried_surface(b, u)
         if carried.connected:
             cls = carried.runs[0][3]

@@ -209,7 +209,8 @@ def validate_configuration(config: PrismConfiguration,
                         continue
                     d = dividing[va.face]
                     sa, sb = _interval_span(d, va), _interval_span(d, vb)
-                    if set(sa) != set(sb):
+                    # a slot off the face is an arc ``admissible`` names
+                    if sa is None or sb is None or set(sa) != set(sb):
                         continue
                     overlap = all(not (sa[e][1] < sb[e][0] or sb[e][1] < sa[e][0])
                                   for e in sa)
@@ -270,19 +271,23 @@ def admissible(config: PrismConfiguration,
             ends = {tuple(sorted(vf.bottom)), tuple(sorted(vf.top))}
             lam = any(any(p.corner_intervals) for p in report.pieces
                       if ends & {tuple(sorted(c)) for c in p.chords})
-            where = "safety triangle" if lam else "extraordinary piece"
+            where = "a safety triangle" if lam else "an extraordinary piece"
             return AdmissibilityReport(
-                False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets a {where}")
+                False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets {where}")
     return AdmissibilityReport(True)
 
 
 def _interval_span(d: DividingSet, vf: VerticalFace):
-    """Slot interval of a vertical face on each of its two edges."""
+    """Slot interval of a vertical face on each of its two edges, or None if
+    one of its slots is not on the face."""
     f = d.face
     spans = {}
     for arc in (vf.bottom, vf.top):
         for s in arc:
-            e, i, _ = f.locate(s)
+            try:
+                e, i, _ = f.locate(s)
+            except KeyError:
+                return None
             spans.setdefault(e, []).append(i)
     return {e: (min(v), max(v)) for e, v in spans.items()}
 
@@ -304,11 +309,11 @@ def _prism_inside(p: Prism, q: Prism, dividing) -> bool:
         return False
     for vf_p, vf_q in zip(sorted(p.vertical_faces, key=lambda v: v.face),
                           sorted(q.vertical_faces, key=lambda v: v.face)):
-        if vf_p.face != vf_q.face:
+        if vf_p.face != vf_q.face or vf_p.face not in dividing:
             return False
         d = dividing[vf_p.face]
         sp, sq = _interval_span(d, vf_p), _interval_span(d, vf_q)
-        if set(sp) != set(sq):
+        if sp is None or sq is None or set(sp) != set(sq):
             return False
         for e in sp:
             (alo, ahi), (blo, bhi) = sp[e], sq[e]
@@ -408,6 +413,8 @@ def _circuit_walk(h: HolonomyData, circuit: Circuit):
 
 def holonomy(h: HolonomyData, circuit: Circuit, t: Tetrahedron) -> int:
     """Composed index shift of the matchings around the circuit."""
+    if not circuit.corners:
+        raise ValueError(f"circuit around {circuit.vertex} has no corners")
     first, last = circuit.corners[0][0], circuit.corners[-1][1]
     if first not in {e.index: e for e in t.edges}[last].faces:
         raise ValueError(f"circuit around {circuit.vertex} does not close up: "

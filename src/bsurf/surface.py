@@ -110,10 +110,6 @@ class BranchedSurface:
     triple_points: tuple[TriplePoint, ...] = ()
     name: str = ""
 
-    @property
-    def num_sectors(self) -> int:
-        return len(self.sectors)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -247,7 +243,7 @@ def switch_system(b: BranchedSurface):
         row[arc.upper_sector] -= 1
         row[arc.lower_sector] -= 1
         rows.append(tuple(row))
-    return ConeSystem(dimension=len(b.sectors), relations=tuple(rows), provenance=b)
+    return ConeSystem(dimension=len(b.sectors), relations=tuple(rows))
 
 
 def switch_violation(b: BranchedSurface, x: Sequence) -> Optional[BranchArc]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsurf import cli, domain, fixtures, hilbert, io, surface
+from bsurf import cli, domain, fixtures, hilbert, io, prisms, surface
 from tests.test_domain import _fraction_check_adjacency, _outcome, exact_ensembles
 from tests.test_surface import _reference_carried_surface
 
@@ -143,6 +143,24 @@ def test_cli_validate_prints_every_prism_configuration_fault(tmp_path, capsys):
         "  tetrahedron G: duplicate prism kinds ['corner:s1', 'corner:s1']\n"
         "  tetrahedron G: 2 prisms exceed the declared selection of size 1\n"
         "  face F124: vertical face (0, 1)..(6, 7) meets a safety triangle\n", "")
+
+
+def test_cli_validate_names_a_vertical_face_slot_off_its_face(tmp_path, capsys):
+    (t1, t2), models = fixtures.two_tetrahedra(6)
+    doc = io.ComplexDocument(tetrahedra={t.index: t for t in (t1, t2)})
+    for fid in models:
+        d = fixtures.stack_face(6, 6, 6, face=fid)
+        doc.faces[fid], doc.dividing_sets[fid] = d.face, d
+    sel = prisms.PrismSelection(frozenset({"s1"}))
+    doc.prism_configs["off"] = prisms.PrismConfiguration(
+        selections={"G1": sel, "G2": sel},
+        prisms={tid: (prisms.Prism("corner:s1", (prisms.VerticalFace("F123", bottom, (4, 5)),)),)
+                for tid, bottom in (("G1", (0, 1)), ("G2", (99, 1)))})
+    io.save(doc, tmp_path / "off.json")
+    assert cli.main(["validate", str(tmp_path / "off.json")]) == 2
+    assert capsys.readouterr() == ("tb_triangulation: 126 over 7 faces: pass\n"
+                                   "prism configuration off: FAIL\n"
+                                   "  face F123: arc (99, 1) is not a dividing component\n", "")
 
 
 def test_cli_hilbert_reports_basis(capsys):
@@ -575,6 +593,78 @@ def test_mutated_documents_never_escape_a_traceback(tmp_path, capsys, doc):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert LOCATED.match(err) and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# names: each entity is saved under the key it is loaded or stored by
+
+# None drops the name, and "" asks for the positional name too
+NAMES = st.one_of(st.none(), st.just(""), st.sampled_from(
+    ["a", "b", "c", "d", "e", "f", "g", "theta", "surface1", "surface10", "domain0"]))
+
+
+@st.composite
+def _renamed_documents(draw):
+    """A shipped document whose surfaces and domains are renamed, unnamed,
+    copied under other names and shuffled; references follow the originals
+    to the name each now loads under (``key`` or ``stem`` + position)."""
+    raw = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for section, stem, refs in (("branched_surfaces", "surface",
+                                 (("weights", "surface"), ("fibered_domains", "surface"))),
+                                ("fibered_domains", "domain", (("ensembles", "domain"),))):
+        items = raw.get(section, [])
+        if not items:
+            continue
+        originals = {id(x): x["name"] for x in items}
+        items += [copy.deepcopy(x) for x in draw(st.lists(st.sampled_from(items), max_size=10))]
+        for x in items:
+            name = draw(st.one_of(st.just(x["name"]), NAMES) if id(x) in originals else NAMES)
+            if name is None:
+                del x["name"]
+            else:
+                x["name"] = name
+        items[:] = draw(st.permutations(items))
+        now = {originals[id(x)]: x.get("name") or f"{stem}{i}"
+               for i, x in enumerate(items) if id(x) in originals}
+        for ref_section, field in refs:
+            for r in raw.get(ref_section, []):
+                r[field] = now[r[field]]
+    return json.dumps(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_renamed_documents())
+def test_renamed_documents_round_trip_section_by_section(text):
+    try:
+        doc = io.loads(text)
+    except io.DocumentError:     # two entities took one name
+        return
+    saved = io.dumps(doc)
+    again = io.loads(saved)
+    for section, entities in vars(doc).items():
+        assert getattr(again, section) == entities, section
+    assert io.dumps(again) == saved
+
+
+def test_library_documents_reload_under_their_keys():
+    t, models = fixtures.simple_tetrahedron(2)
+    doc = io.ComplexDocument(tetrahedra={"T": t},
+                             holonomy={"T": fixtures.holonomy_all_minus_one(t)})
+    # two equal surfaces, each named "theta"; the domain is on the second one
+    fd = fixtures.theta_domain()
+    doc.surfaces["a"], doc.surfaces["b"] = fixtures.theta_surface(), fd.quotient
+    doc.weights["w"] = ("a", (1, 1, 2))
+    doc.domains["d"] = fd
+    for fid, fm in models.items():
+        doc.faces[fid] = fm
+        doc.dividing_sets[fid] = fixtures.stack_face(1, 1, 1, face="elsewhere")
+    loaded = io.loads(io.dumps(doc))
+    assert {k: b.name for k, b in loaded.surfaces.items()} == {"a": "a", "b": "b"}
+    assert loaded.weights == doc.weights
+    assert loaded.domains["d"].quotient is loaded.surfaces["b"]
+    assert [d.face.face for d in loaded.dividing_sets.values()] == sorted(models)
+    assert (loaded.tetrahedra["T"].index, loaded.holonomy["T"].tet) == ("T", "T")
+    assert io.dumps(loaded) == io.dumps(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from bsurf import fixtures
-from bsurf.prisms import (Circuit, Crossing, HolonomyData, Prism, PrismConfiguration,
-                          PrismSelection, VerticalFace, admissible, canonical_circuits,
-                          config_order, corner_transport, enumerate_prism_selections,
-                          holonomy, maximal_selections, selection_order,
-                          validate_holonomy, validate_tetrahedron)
+from bsurf.prisms import (Circuit, Crossing, HolonomyData, HolonomyFinding, Prism,
+                          PrismConfiguration, PrismSelection, VerticalFace, admissible,
+                          canonical_circuits, config_order, corner_transport,
+                          enumerate_prism_selections, holonomy, maximal_selections,
+                          selection_order, validate_holonomy, validate_tetrahedron)
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +252,17 @@ def test_validate_holonomy_incomplete_data(tetra):
     assert all(f.verdict == "incomplete" for f in report.findings)
 
 
+def test_validate_holonomy_reports_an_empty_circuit_as_incomplete(tetra):
+    t, _ = tetra
+    empty = Circuit("s1", ())
+    report = validate_holonomy(fixtures.holonomy_all_minus_one(t), t, extra_circuits=[empty])
+    assert not report.ok
+    assert [f for f in report.findings if f.verdict != "ok"] == [
+        HolonomyFinding(empty, None, "incomplete", "circuit around s1 has no corners")]
+    with pytest.raises(ValueError, match="^circuit around s1 has no corners$"):
+        holonomy(fixtures.holonomy_all_minus_one(t), empty, t)
+
+
 def test_corner_transport_adjacency(tetra):
     t, _ = tetra
     h = fixtures.holonomy_all_minus_one(t)
@@ -375,7 +386,7 @@ def _one_face_config(*vertical_faces):
     ((0, 2), (4, 5), "face X: arc (0, 2) is not a dividing component"),
     ((5, 4), (7, 8), "face X: arc (7, 8) is not a dividing component"),
     ((0, 1), (6, 7), "face X: vertical face (0, 1)..(6, 7) meets a safety triangle"),
-    ((4, 5), (10, 11), "face X: vertical face (4, 5)..(10, 11) meets a extraordinary piece"),
+    ((4, 5), (10, 11), "face X: vertical face (4, 5)..(10, 11) meets an extraordinary piece"),
 ])
 def test_admissible_certificates_by_exact_text(bottom, top, certificate):
     # stack_face(3, 3, 3): arcs (0, 1), (6, 7) and (12, 13) cut off the corners,
@@ -416,6 +427,11 @@ def test_config_order_incomparable():
     other = config("corner:s2", 0, 1)
     assert config_order(low, other, {fid: d}) == "incomparable"
     assert config_order(low, config("corner:s1", 0, 2), {fid: d}) == "less-equal"
+    # a slot off the face, or a face without dividing data, contains nothing
+    off = PrismConfiguration(selections=low.selections, prisms={"G": (Prism(
+        "corner:s1", (VerticalFace(face=fid, bottom=(99, 1), top=chords[1]),)),)})
+    assert config_order(low, off, {fid: d}) == "incomparable"
+    assert config_order(low, low, {}) == "incomparable"
 
 
 def test_equal_holonomy_reports_hash_alike(tetra):

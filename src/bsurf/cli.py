@@ -15,8 +15,7 @@ from . import dividing, domain, hilbert, io, lutz, prisms, surface
 OK, INPUT_ERROR, VALIDATION_FAILURE = 0, 1, 2
 
 
-def _write_graph(path: str, graph) -> None:
-    lines = [f"{node} {' '.join(nbrs)}".rstrip() for node, nbrs in graph]
+def _write_graph(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -55,11 +54,10 @@ def cmd_validate(args) -> int:
         if not ok:
             failures.append(f"prisms {name}")
     if args.export_graph:
-        graph = []
-        for name, b in sorted(doc.surfaces.items()):
-            graph.extend((f"{name}/{node}", [f"{name}/{n}" for n in nbrs])
-                         for node, nbrs in surface.adjacency_graph(b))
-        _write_graph(args.export_graph, graph)
+        _write_graph(args.export_graph, [
+            " ".join(f"{name}/{n}" for n in (node, *nbrs))
+            for name, b in sorted(doc.surfaces.items())
+            for node, nbrs in surface.adjacency_graph(b)])
     return VALIDATION_FAILURE if failures else OK
 
 

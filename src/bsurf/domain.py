@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .surface import (BranchedSurface, Sector, ValidationReport, Violation, switch_violation,
                       validate)
@@ -174,19 +174,33 @@ def _scaled(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
 
 
 def check_adjacency(base: AdjustedStructure, other: AdjustedStructure) -> None:
-    """Angle differences must satisfy the switch relations across every arc.
+    """Angle differences must satisfy the switch relations across every arc."""
+    fault = first_incoherent((base, other))
+    if fault is not None:
+        raise ValueError(fault[1])
 
-    The two angle tables are compared as exact integer rows over the lcm of
-    their denominators, O(d) int operations; the Fraction differences are
-    built only to report a violation."""
+
+def first_incoherent(structures: Sequence[AdjustedStructure]) -> Optional[tuple[int, str]]:
+    """The index of the first structure whose angle differences from
+    ``structures[0]`` break a switch relation, with the reason, or None.
+
+    All angle tables are scaled once, to exact integer rows over the lcm of
+    the ensemble's denominators; a switch relation is linear, so one common
+    scale changes no verdict, and each check costs O(d) int operations for d
+    sectors.  The Fraction differences are built only to report a violation."""
+    if not structures:
+        return None
+    base = structures[0]
     b = base.domain.quotient
-    a, o = _scaled([[v.as_integer_ratio() for v in x.angle.values] for x in (base, other)])
-    arc = switch_violation(b, [y - x for x, y in zip(a, o)])
-    if arc is not None:
-        diff = [o - a for o, a in zip(other.angle.values, base.angle.values)]
-        raise ValueError(
-            f"adjacency violated at arc {arc.index}: merged offset {diff[arc.merged_sector]} "
-            f"!= {diff[arc.upper_sector] + diff[arc.lower_sector]}")
+    rows = _scaled([[v.as_integer_ratio() for v in x.angle.values] for x in structures])
+    for i, row in enumerate(rows[1:], 1):
+        arc = switch_violation(b, [y - x for x, y in zip(rows[0], row)])
+        if arc is not None:
+            diff = [o - a for o, a in zip(structures[i].angle.values, base.angle.values)]
+            return i, (f"adjacency violated at arc {arc.index}: merged offset "
+                       f"{diff[arc.merged_sector]} != "
+                       f"{diff[arc.upper_sector] + diff[arc.lower_sector]}")
+    return None
 
 
 def weight_of(x: AdjustedStructure, base: AdjustedStructure) -> tuple[int, ...]:

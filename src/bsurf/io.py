@@ -223,7 +223,8 @@ _PRISM_CONFIG = _entity(dict, ("name", str), ("tets", _map(_TET_PRISMS)))
 
 def _section(word: str, key: str, stem: Optional[str], entity):
     """Named entities, decoded to {name: (location, value)} and saved sorted by
-    name under ``key``; names default to ``stem`` + index, or are required if it is None."""
+    name under ``key``; names default to ``stem`` + index, or are required if it is None.
+    With a stem the empty name is not saved, since it would load back as stem + index."""
     def dec(v, _, section):     # located by the section key, then by entity name
         if type(v) is not list:
             _fail("list", v, section, "")
@@ -240,8 +241,14 @@ def _section(word: str, key: str, stem: Optional[str], entity):
                 raise DocumentError("parse error", loc, "declared twice")
             out[name] = loc, value
         return out
-    return dec, lambda named: [entity[1]({**(x if type(x) is dict else vars(x)), key: name})
-                               for name, x in sorted(named.items())]
+
+    def enc(named):
+        if stem and "" in named:
+            raise DocumentError("invariant violation", f"{word} ''",
+                                f"an empty name loads back as {stem}<index>")
+        return [entity[1]({**(x if type(x) is dict else vars(x)), key: name})
+                for name, x in sorted(named.items())]
+    return dec, enc
 
 
 # Sections are resolved in this order, so each refers only to earlier ones.
@@ -360,13 +367,11 @@ def loads(text: str) -> ComplexDocument:
             except ValueError as exc:
                 raise DocumentError("invariant violation", f"structure {label}",
                                     f"fibered_domain rule positive-angles: {exc}")
-        for x in structures[1:]:
-            try:
-                domain.check_adjacency(structures[0], x)
-            except ValueError as exc:
-                raise DocumentError("invariant violation",
-                                    f"ensemble {name} structure {x.label}",
-                                    f"fibered_domain rule adjacency-coherence: {exc}")
+        fault = domain.first_incoherent(structures)
+        if fault is not None:
+            raise DocumentError("invariant violation",
+                                f"ensemble {name} structure {structures[fault[0]].label}",
+                                f"fibered_domain rule adjacency-coherence: {fault[1]}")
         doc.ensembles[name] = (e["domain"], tuple(structures))
 
     for name, (where, pc) in raw["prism_configurations"].items():

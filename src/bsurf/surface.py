@@ -15,11 +15,13 @@ characteristics and orientability off one pass over the arcs, with
 union-finds on integer face and corner ids, without building the cells.
 Each arc glues two runs of sheet copies, the upper and the lower stack
 against the merged one, so the pass steps through ranges of ids and
-fixes a run's flip and corner offsets once, not once per copy;
-``carried_adjacency_graph`` walks the same runs.  The components come
-back as maximal runs of consecutive components of one type, so a
-surface of many alike components, such as the parallel tori of a large
-weight, costs one tuple per run rather than one object per component.
+fixes a run's flip and corner offsets once, not once per copy.  The
+components come back as maximal runs of consecutive components of one
+type, so a surface of many alike components, such as the parallel tori
+of a large weight, costs one tuple per run rather than one object per
+component.  ``carried_adjacency_graph`` cuts each sector's copies at the
+same runs: between two cuts every copy has the same neighbour columns,
+slices of the name lists, so the export's lines are joined from slices.
 """
 
 from __future__ import annotations
@@ -514,24 +516,49 @@ def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:
     return out
 
 
-def carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, list[str]]]:
-    """Adjacency list of sheet copies of a carried surface, sorted by name.
+def carried_adjacency_graph(s: CarriedSurface) -> list[str]:
+    """The sheet copies of a carried surface as graph lines ``s{i}c{c} nbr
+    nbr ...``: one line per copy, its distinct neighbours in byte order,
+    the lines in byte order.
 
-    Face ids and runs are those of ``carried_surface``; each face is named
-    ``s{sector}c{copy}`` once, and the names are sorted only at the end.
+    Along a run of ``_runs`` the neighbours of merged copies ``start ..
+    start + count - 1`` are the other sector's names, reversed where the
+    continuation is, and the other sector's neighbours are that slice of
+    the merged names.  So each sector's copy range is cut at the run
+    boundaries; inside an interval every copy has the same neighbour
+    columns, which are list slices.  Names of distinct sectors differ
+    before the copy number, so the columns go in the byte order of their
+    target's prefix ``s{o}c``.  A column equal to one already taken for
+    its target is dropped, and only distinct columns into one sector are
+    merged copy by copy.  A space sorts below every digit, so one sort of
+    the whole lines puts them in the byte order of their node names.
     """
-    b, weights = s.source, s.weight
-    names: list[str] = []
-    off = []
-    for sec in b.sectors:
-        off.append(len(names))
-        names += [f"s{sec.index}c{c}" for c in range(weights[sec.index])]
-    nbrs: list[set[int]] = [set() for _ in names]
-    for arc in b.branch_arcs:
-        m = off[arc.merged_sector]
+    weights = s.weight
+    names = [[f"s{i}c{c}" for c in range(w)] for i, w in enumerate(weights)]
+    # per sector: (first copy, end copy, target prefix, neighbour column)
+    incident: list[list[tuple[int, int, str, list[str]]]] = [[] for _ in weights]
+    for arc in s.source.branch_arcs:
+        m = arc.merged_sector
         for o, _side, start, count, rev in _runs(arc, weights):
-            for x, y in zip(range(m + start, m + start + count), _ids(off[o], count, 1, rev)):
-                nbrs[x].add(y)
-                nbrs[y].add(x)
-    name = names.__getitem__
-    return [(name(f), sorted(map(name, nbrs[f]))) for f in sorted(range(len(names)), key=name)]
+            here, there = names[o], names[m][start:start + count]
+            if rev:
+                here, there = here[::-1], there[::-1]
+            incident[m].append((start, start + count, f"s{o}c", here))
+            incident[o].append((0, count, f"s{m}c", there))
+    lines: list[str] = []
+    for own, runs in zip(names, incident):
+        cuts = sorted({0, len(own), *(x for lo, hi, _, _ in runs for x in (lo, hi))})
+        for lo, hi in zip(cuts, cuts[1:]):
+            columns: dict[str, list[list[str]]] = {}
+            for a, z, prefix, col in runs:
+                if a <= lo and hi <= z:
+                    taken = columns.setdefault(prefix, [])
+                    col = col[lo - a:hi - a]
+                    if col not in taken:
+                        taken.append(col)
+            cols = [taken[0] if len(taken) == 1 else
+                    [" ".join(sorted(set(row))) for row in zip(*taken)]
+                    for _, taken in sorted(columns.items())]
+            lines += map(" ".join, zip(own[lo:hi], *cols))
+    lines.sort()
+    return lines

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -301,11 +302,15 @@ def test_non_utf8_document_is_a_parse_error_at_its_byte(tmp_path):
 
 def test_cli_graph_export(tmp_path, capsys):
     out_path = tmp_path / "graph.txt"
-    rc = cli.main(["carry", str(DOCS / "theta.json"), "--surface", "theta",
-                   "--weight", "1,1,2", "--export-graph", str(out_path)])
-    assert rc == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert any(line.startswith("s2c0") for line in lines)
+    for name, weight, text in [
+            ("theta", "1,1,2", "s0c0 s2c0\ns1c0 s2c1\ns2c0 s0c0\ns2c1 s1c0\n"),
+            ("theta-twisted", "klein", "s0c0 s2c0\ns2c0 s0c0\n"),
+            ("theta-twisted", "2,1,3", "s0c0 s2c0 s2c1\ns0c1 s2c0 s2c1\ns1c0 s2c2\n"
+                                       "s2c0 s0c0 s0c1\ns2c1 s0c0 s0c1\ns2c2 s1c0\n")]:
+        rc = cli.main(["carry", str(DOCS / "theta.json"), "--surface", name,
+                       "--weight", weight, "--export-graph", str(out_path)])
+        assert rc == 0
+        assert out_path.read_bytes() == text.encode(), (name, weight)
 
 
 def _reference_carry_out(name, b, w):
@@ -375,6 +380,24 @@ def test_incoherent_ensemble_rejected(tmp_path):
     with pytest.raises(io.DocumentError) as err:
         io.loads(json.dumps(raw))
     assert "adjacency-coherence" in str(err.value)
+
+
+def test_incoherent_structure_late_in_a_large_ensemble_is_located_by_its_offsets():
+    fd = fixtures.theta_domain()
+    base = (Fraction(1, 3), Fraction(2, 5), Fraction(11, 15))
+    xs = [domain.AdjustedStructure(fd, domain.AngleFunction(
+        tuple(a + Fraction(i, 7) * u for a, u in zip(base, (1, 0, 1)))), f"x{i}")
+        for i in range(640)]
+    bad = list(xs[633].angle.values)
+    bad[1] += Fraction(1, 9)
+    xs[633] = domain.AdjustedStructure(fd, domain.AngleFunction(tuple(bad)), "x633")
+    doc = io.ComplexDocument(surfaces={"theta": fd.quotient}, domains={"d": fd},
+                             ensembles={"e": ("d", tuple(xs))})
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(io.dumps(doc))
+    assert str(err.value) == (
+        "invariant violation at ensemble e structure x633: fibered_domain rule "
+        "adjacency-coherence: adjacency violated at arc 0: merged offset 633/7 != 5704/63")
 
 
 def test_non_adjacent_structure_is_located_with_its_fraction_offsets():
@@ -644,6 +667,23 @@ def test_renamed_documents_round_trip_section_by_section(text):
     for section, entities in vars(doc).items():
         assert getattr(again, section) == entities, section
     assert io.dumps(again) == saved
+
+
+@pytest.mark.parametrize("section", ["surfaces", "domains"])
+def test_a_surface_or_domain_under_the_empty_key_is_not_saved(section):
+    fd = fixtures.theta_domain()
+    doc = io.ComplexDocument(surfaces={"t": fd.quotient}, domains={"d": fd})
+    if section == "surfaces":
+        doc.surfaces[""] = fixtures.theta_surface()
+        doc.weights["w"] = ("", (1, 1, 2))
+    else:
+        doc.domains[""] = fd
+    with pytest.raises(io.DocumentError) as err:
+        io.dumps(doc)
+    word, stem = (("branched_surface", "surface") if section == "surfaces"
+                  else ("fibered_domain", "domain"))
+    assert str(err.value) == (f"invariant violation at {word} '': "
+                              f"an empty name loads back as {stem}<index>")
 
 
 def test_library_documents_reload_under_their_keys():

@@ -483,6 +483,11 @@ def _reference_carried_adjacency_graph(s: CarriedSurface) -> list[tuple[str, lis
     return [(k, sorted(v)) for k, v in sorted(edges.items())]
 
 
+def _graph_lines(graph: list[tuple[str, list[str]]]) -> list[str]:
+    """An adjacency list as the export's lines ``node nbr nbr ...``."""
+    return [" ".join([node, *nbrs]) for node, nbrs in graph]
+
+
 def _polygon_wedge(rng: random.Random, n: int, mixed: bool = False) -> BranchedSurface:
     """Three sheets along n segment arcs that close up through n triple points.
 
@@ -526,6 +531,20 @@ def _crossed_loops(rng: random.Random) -> BranchedSurface:
     return BranchedSurface(sectors, (a, b), (TriplePoint(0, (0, 1)),), name="crossed-loops")
 
 
+def _self_incident(rng: random.Random) -> BranchedSurface:
+    """Two sectors along one closed arc, one of them on two of its sides:
+    sector 1 is both merging sheets (x0 = 2 x1), or sector 0 is the merged
+    and the upper sheet, so that the lower sheet, sector 1, has weight 0."""
+    roles = (0, 1, 1) if rng.random() < 0.5 else (0, 0, 1)
+    arc = BranchArc(0, *roles, reversed_upper=rng.random() < 0.5,
+                    reversed_lower=rng.random() < 0.5)
+    sides = (Side.MERGED, Side.UPPER, Side.LOWER)
+    sectors = tuple(Sector(s, rng.randrange(-1, 2), tuple(
+        (CycleRef(0, side),) for side, owner in zip(sides, roles) if owner == s))
+        for s in range(2))
+    return BranchedSurface(sectors, (arc,), name="self-incident")
+
+
 def _redrawn(sec: Sector, turn: bool, shift: int) -> Sector:
     """The same sector with each boundary cycle started `shift` edges later,
     and read the other way round when `turn` is set."""
@@ -543,13 +562,15 @@ def _drawn_weight(data):
     """A random surface, with redrawn and possibly non-orientable sectors,
     and a nonzero weight on it, or None when the draw carries nothing."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    kind = data.draw(st.sampled_from(["fixture", "polygon", "loops"]))
+    kind = data.draw(st.sampled_from(["fixture", "polygon", "loops", "self"]))
     if kind == "fixture":
         surf = fixtures.random_branched_surface(rng)
     elif kind == "polygon":
         surf = _polygon_wedge(rng, data.draw(st.integers(2, 5)), mixed=data.draw(st.booleans()))
-    else:
+    elif kind == "loops":
         surf = _crossed_loops(rng)
+    else:
+        surf = _self_incident(rng)
     # the random fixtures draw only orientable sectors, and give all three
     # sectors of a wedge the same cycle direction
     n = len(surf.sectors)
@@ -612,16 +633,15 @@ def test_carried_surface_matches_reference_on_large_wedges(make):
     assert s.weight == w
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10 ** 6), st.lists(st.integers(0, 6), min_size=1, max_size=8))
-def test_carried_adjacency_graph_matches_reference(seed, coeffs):
-    surf = fixtures.random_branched_surface(random.Random(seed))
-    gens = minimal_generators(switch_system(surf)).basis
-    w = combine(gens, coeffs) if gens else ()
-    if not any(w):
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carried_adjacency_graph_matches_reference(data):
+    # reversed continuations, zero-weight sectors and self-incident arcs
+    drawn = _drawn_weight(data)
+    if drawn is None:
         return
-    s = carried_surface(surf, w)
-    assert carried_adjacency_graph(s) == _reference_carried_adjacency_graph(s)
+    s = carried_surface(*drawn)
+    assert carried_adjacency_graph(s) == _graph_lines(_reference_carried_adjacency_graph(s))
 
 
 def test_carried_surface_and_graph_match_reference_on_a_large_two_vertex_wedge():
@@ -635,7 +655,21 @@ def test_carried_surface_and_graph_match_reference_on_a_large_two_vertex_wedge()
     s = carried_surface(surf, w)
     assert s.components == _reference_carried_surface(surf, w)
     assert s.weight == w
-    assert carried_adjacency_graph(s) == _reference_carried_adjacency_graph(s)
+    assert carried_adjacency_graph(s) == _graph_lines(_reference_carried_adjacency_graph(s))
+
+
+@pytest.mark.parametrize("surf", [
+    fixtures.theta_surface(twist=True),
+    dataclasses.replace(fixtures.random_two_vertex_surface(random.Random(3)), branch_arcs=(
+        BranchArc(0, 0, 1, 2, endpoints=(0, 1), reversed_upper=True),
+        BranchArc(1, 0, 1, 2, endpoints=(0, 1), reversed_lower=True)))], ids=lambda b: b.name)
+def test_carried_adjacency_graph_matches_reference_at_scale(surf):
+    # the reversed continuations give two distinct columns into one sector
+    a, b_ = 37_501, 62_499
+    w = (a, b_, a + b_) if surf.name == "theta-twisted" else (a + b_, a, b_)
+    assert sum(w) == 2 * 10 ** 5
+    s = carried_surface(surf, w)
+    assert carried_adjacency_graph(s) == _graph_lines(_reference_carried_adjacency_graph(s))
 
 
 def test_carried_theta_closed_forms_at_scale():

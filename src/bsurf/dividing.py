@@ -348,13 +348,49 @@ class Piece:
 
 @dataclass(frozen=True)
 class PieceReport:
-    pieces: tuple[Piece, ...]
-    stacks: dict
-    outside: tuple[Piece, ...]
+    """The pieces of one face, kept as ``classify_pieces`` computes them.
+
+    ``regions`` holds each region's (chords, corner runs) in the post-order
+    of ``_region_split``, ``pairs`` the edge pair of each ordinary region
+    and None for the others, and ``stack_ranges`` each edge pair's stack as
+    a range of piece indices, in first-seen pair order.  The ``Piece``
+    views ``pieces``, ``stacks`` and ``outside`` are built on first read,
+    once per report, and stay out of ``==``, ``hash`` and ``repr``.
+    """
+
+    regions: tuple
+    pairs: tuple
+    stack_ranges: tuple               # ((edge pair, range of piece indices), ...)
 
     @property
     def total(self) -> int:
-        return len(self.pieces)
+        return len(self.regions)
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        best = dict(self.stack_ranges)
+        pieces = []
+        for i, ((chords, corners), pair) in enumerate(zip(self.regions, self.pairs)):
+            if pair is not None:
+                role = PieceRole.STACK if i in best[pair] else PieceRole.STRAY
+                pieces.append(Piece(i, PieceKind.ORDINARY, role, chords, corners, pair))
+                continue
+            if not chords:
+                role = PieceRole.HEXAGON
+            elif any(corners):
+                role = PieceRole.CORNER
+            else:
+                role = PieceRole.HALF_DISK if len(chords) == 1 else PieceRole.CENTRAL
+            pieces.append(Piece(i, PieceKind.EXTRAORDINARY, role, chords, corners))
+        return tuple(pieces)
+
+    @cached_property
+    def stacks(self) -> dict[tuple[int, int], tuple[Piece, ...]]:
+        return {pair: self.pieces[r.start:r.stop] for pair, r in self.stack_ranges}
+
+    @cached_property
+    def outside(self) -> tuple[Piece, ...]:
+        return tuple(p for p in self.pieces if p.role is not PieceRole.STACK)
 
 
 def _region_split(d: DividingSet):
@@ -373,24 +409,23 @@ def _region_split(d: DividingSet):
     """
     arc_at = d._arc_index
     out = []
-    stack: list = [([], [], [])]      # per open region: chords, closed runs, current run
-    for kind, x in d.face.boundary_items():
-        chords, runs, run = stack[-1]
-        if kind == "corner":
-            run.append(x)
-            continue
-        runs.append(tuple(run))
-        run.clear()
-        arc = arc_at[x]
-        # the root's first chord closes before the root is on top again
-        if chords and chords[0] is arc:
-            stack.pop()
-            out.append((tuple(chords), tuple(runs)))
-        else:
-            chords.append(arc)
-            stack.append(([arc], [], []))
-    chords, runs, run = stack[0]
-    wrap = tuple(run) + (runs.pop(0) if runs else ())
+    stack = []                        # the enclosing open regions: (chords, closed runs)
+    chords, runs, run = [], [], ()    # the open region on top and its current run
+    for e, slots in enumerate(d.face.edge_slots):
+        for x in slots:
+            runs.append(run)
+            run = ()
+            arc = arc_at[x]
+            # the root's first chord closes before the root is on top again
+            if chords and chords[0] is arc:
+                out.append((tuple(chords), tuple(runs)))
+                chords, runs = stack.pop()
+            else:
+                chords.append(arc)
+                stack.append((chords, runs))
+                chords, runs = [arc], []
+        run += (e,)
+    wrap = run + (runs.pop(0) if runs else ())
     out.append((tuple(chords), tuple(runs) + (wrap,)))
     return out
 
@@ -404,45 +439,30 @@ def classify_pieces(d: DividingSet) -> PieceReport:
     post-order emits just before it.  So ordinary pieces sharing a chord
     are consecutive, and a chain of them is a maximal run of indices,
     innermost first.  Per edge pair the longest run is the stack, the
-    first on a tie; other ordinary pieces are stray.
+    first on a tie; other ordinary pieces are stray.  O(n) in the arcs;
+    no ``Piece`` is built until a view of the report is read.
     """
     edge = d.face._slot_index         # slot -> (edge, offset, position)
-    raw = _region_split(d)
+    regions = tuple(_region_split(d))
     pairs = []                        # edge pair of each ordinary piece, else None
-    for chords, corners in raw:
+    for chords, corners in regions:
         pair = None
         if len(chords) == 2 and not any(corners):
             # corner-free intervals lie inside single edges, so the region is
             # a quadrilateral iff both chords join the same pair of edges
             (a, b), (c, e) = chords
-            ea, eb = edge[a][0], edge[b][0]
-            if ea != eb and {ea, eb} == {edge[c][0], edge[e][0]}:
-                pair = (min(ea, eb), max(ea, eb))
+            ea, eb, ec, ee = edge[a][0], edge[b][0], edge[c][0], edge[e][0]
+            if ea != eb and (ea == ec and eb == ee or ea == ee and eb == ec):
+                pair = (ea, eb) if ea < eb else (eb, ea)
         pairs.append(pair)
 
     best: dict[tuple[int, int], range] = {}
-    for pair, run in itertools.groupby(range(len(raw)), pairs.__getitem__):
+    for pair, run in itertools.groupby(range(len(regions)), pairs.__getitem__):
         if pair is not None:
             run = list(run)
             if pair not in best or len(run) > len(best[pair]):
                 best[pair] = range(run[0], run[-1] + 1)
-
-    pieces = []
-    for i, ((chords, corners), pair) in enumerate(zip(raw, pairs)):
-        if pair is not None:
-            role = PieceRole.STACK if i in best[pair] else PieceRole.STRAY
-            pieces.append(Piece(i, PieceKind.ORDINARY, role, chords, corners, pair))
-            continue
-        if not chords:
-            role = PieceRole.HEXAGON
-        elif any(corners):
-            role = PieceRole.CORNER
-        else:
-            role = PieceRole.HALF_DISK if len(chords) == 1 else PieceRole.CENTRAL
-        pieces.append(Piece(i, PieceKind.EXTRAORDINARY, role, chords, corners))
-    stacks = {pair: tuple(pieces[r.start:r.stop]) for pair, r in best.items()}
-    outside = tuple(p for p in pieces if p.role is not PieceRole.STACK)
-    return PieceReport(pieces=tuple(pieces), stacks=stacks, outside=outside)
+    return PieceReport(regions=regions, pairs=tuple(pairs), stack_ranges=tuple(best.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ exactly the circuits composing to -1.
 ``admissible`` and ``coverage_report`` share one walk over the vertical
 faces that classifies each named face once.  Every piece of a
 ``classify_pieces`` stack is ordinary, so a vertical face whose arcs
-bound a run of one stack holds only ordinary pieces.
+bound a run of one stack holds only ordinary pieces.  The walk gives a
+vertical face as the index range of those pieces, read from the report's
+regions and stack ranges, so it builds no ``Piece``.
 """
 
 from __future__ import annotations
@@ -221,27 +223,30 @@ def validate_configuration(config: PrismConfiguration,
     return problems
 
 
-def _stack_between(report: PieceReport, bottom, top):
-    """Pieces between two arcs of one stack, or None.
+def _stack_between(report: PieceReport, bottom, top) -> Optional[range]:
+    """Indices of the pieces between two arcs of one stack, or None.
 
-    A stack runs innermost piece first and each piece lists its own arc
-    first, so its arcs in nesting order are the innermost piece's inner
-    arc, then each piece's own arc; piece k lies between arcs k and k+1.
+    A stack runs innermost piece first and each region lists its own arc
+    first, so its arcs in nesting order are the innermost region's inner
+    arc, then each region's own arc; piece k of the stack lies between
+    arcs k and k+1.  Reads the report's regions and builds no ``Piece``.
     """
     b, t = tuple(sorted(bottom)), tuple(sorted(top))
-    for chain in report.stacks.values():
-        inner = chain[0].chords[1]
-        arcs = [tuple(sorted(c)) for c in (inner, *(p.chords[0] for p in chain))]
+    regions = report.regions
+    for _, r in report.stack_ranges:
+        chords = [regions[r.start][0][1], *(regions[i][0][0] for i in r)]
+        arcs = [(x, y) if x < y else (y, x) for x, y in chords]
         if b in arcs and t in arcs:
             lo, hi = sorted((arcs.index(b), arcs.index(t)))
-            return list(chain[lo:hi])
+            return range(r.start + lo, r.start + hi)
     return None
 
 
 def _face_walk(config: PrismConfiguration, dividing: dict[str, DividingSet]):
     """Each vertical face in order, with its face's piece report (None without
-    dividing data) and its pieces (None unless its arcs bound a run of one
-    stack).  Each named face is classified once, by ``classify_pieces``."""
+    dividing data) and the index range of its pieces (None unless its arcs
+    bound a run of one stack).  Each named face is classified once, by
+    ``classify_pieces``."""
     reports: dict[str, PieceReport] = {}
     for _, prism in config.all_prisms():
         for vf in prism.vertical_faces:
@@ -259,21 +264,22 @@ def admissible(config: PrismConfiguration,
     """Every vertical prism face must be a run of one stack: stack pieces are
     ordinary and off the corners.  The certificate names the first vertical
     face that fails, in ``config.all_prisms()`` order."""
-    for vf, report, pieces in _face_walk(config, dividing):
+    for vf, report, between in _face_walk(config, dividing):
         if report is None:
             return AdmissibilityReport(False, f"face {vf.face}: no dividing data")
+        if between is not None:
+            continue                  # both arcs are arcs of a stack
         known = {tuple(sorted(a)) for a in dividing[vf.face].arcs}
         for arc in (vf.bottom, vf.top):
             if tuple(sorted(arc)) not in known:
                 return AdmissibilityReport(
                     False, f"face {vf.face}: arc {arc} is not a dividing component")
-        if pieces is None:
-            ends = {tuple(sorted(vf.bottom)), tuple(sorted(vf.top))}
-            lam = any(any(p.corner_intervals) for p in report.pieces
-                      if ends & {tuple(sorted(c)) for c in p.chords})
-            where = "a safety triangle" if lam else "an extraordinary piece"
-            return AdmissibilityReport(
-                False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets {where}")
+        ends = {tuple(sorted(vf.bottom)), tuple(sorted(vf.top))}
+        lam = any(any(corners) for chords, corners in report.regions
+                  if ends & {tuple(sorted(c)) for c in chords})
+        where = "a safety triangle" if lam else "an extraordinary piece"
+        return AdmissibilityReport(
+            False, f"face {vf.face}: vertical face {vf.bottom}..{vf.top} meets {where}")
     return AdmissibilityReport(True)
 
 
@@ -352,13 +358,13 @@ def coverage_report(config: PrismConfiguration, dividing: dict[str, DividingSet]
     # len(d.arcs) + 1 pieces, one inside each arc and the root.
     covered: dict[str, set] = {}
     thin = []
-    for vf, report, pieces in _face_walk(config, dividing):
+    for vf, report, between in _face_walk(config, dividing):
         if report is None:
             raise KeyError(vf.face)
-        pieces = pieces or []
-        covered.setdefault(vf.face, set()).update(p.index for p in pieces)
-        if len(pieces) < min_pieces_per_face:
-            thin.append((vf.face, len(pieces)))
+        between = between or range(0)
+        covered.setdefault(vf.face, set()).update(between)
+        if len(between) < min_pieces_per_face:
+            thin.append((vf.face, len(between)))
     outside = sum(len(d.arcs) + 1 for d in dividing.values()) - sum(map(len, covered.values()))
     return CoverageReport(outside_pieces=outside, thin_faces=tuple(thin),
                           max_outside=max_outside,

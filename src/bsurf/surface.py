@@ -502,7 +502,12 @@ def klein_double(b: BranchedSurface, w_klein: Sequence[int]) -> tuple[int, ...]:
 
 
 def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:
-    """Plain adjacency-list view of the branch locus (for exports)."""
+    """Plain adjacency-list view of the branch locus (for exports).
+
+    Each node lists each neighbour once: a sector's arcs in sorted order,
+    an arc's merged, upper and lower sector and then its triple points in
+    first-seen order.
+    """
     out = []
     for sec in b.sectors:
         nbrs = sorted({f"arc{ref.arc}" for cycle in sec.boundary_cycles for ref in cycle})
@@ -512,7 +517,7 @@ def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:
                 f"sector{arc.lower_sector}"]
         if not arc.is_closed:
             nbrs += [f"tp{t}" for t in arc.endpoints]
-        out.append((f"arc{arc.index}", nbrs))
+        out.append((f"arc{arc.index}", list(dict.fromkeys(nbrs))))
     return out
 
 

@@ -158,8 +158,10 @@ def linked_list_region_split(d: DividingSet):
     return out
 
 
-def reference_classify_pieces(d: DividingSet, split=oracle_region_split) -> PieceReport:
-    """Partition the hexagon complement and identify the three stacks."""
+def reference_classify_pieces(d: DividingSet, split=oracle_region_split):
+    """Partition the hexagon complement and identify the three stacks.
+
+    Returns what a report's views must read: pieces, stacks and outside."""
     f = d.face
     raw = split(d)
     pieces: list[Piece] = []
@@ -232,7 +234,7 @@ def reference_classify_pieces(d: DividingSet, split=oracle_region_split) -> Piec
         final.append(p)
     in_stack = {p.index for chain in stacks.values() for p in chain}
     outside = tuple(p for p in final if p.index not in in_stack)
-    return PieceReport(pieces=tuple(final), stacks=stacks, outside=outside)
+    return tuple(final), stacks, outside
 
 
 def oracle_random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
@@ -338,9 +340,12 @@ def _square_sites(rng: random.Random, d: DividingSet):
                 yield [(a, *(a[::-1] if turn else a)) for a, turn in zip(arcs, turns)]
 
 
-def _same_report(got: PieceReport, want: PieceReport) -> bool:
-    """Equal reports, with the stacks in the same dict order."""
-    return got == want and list(got.stacks) == list(want.stacks)
+def _same_report(got: PieceReport, want) -> bool:
+    """The report's views equal the reference's, with the stacks in the same
+    dict order."""
+    pieces, stacks, outside = want
+    return (got.pieces == pieces and got.stacks == stacks
+            and list(got.stacks) == list(stacks) and got.outside == outside)
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,6 +493,17 @@ def test_indexes_stay_out_of_equality_hash_and_repr():
     assert d == twin and hash(d) == hash(twin)
 
 
+def test_equal_reports_hash_alike_and_views_stay_out_of_both():
+    rep = classify_pieces(fixtures.stack_face(3, 3, 3))
+    twin = classify_pieces(fixtures.stack_face(3, 3, 3))
+    before = (repr(rep), hash(rep))
+    assert rep.pieces and rep.stacks and rep.outside
+    assert (repr(rep), hash(rep)) == before
+    assert rep == twin and hash(rep) == hash(twin)
+    assert {rep: "x"}[twin] == "x"
+    assert rep != classify_pieces(fixtures.stack_face(3, 3, 2))
+
+
 @pytest.mark.parametrize("n", [5000, 20000])
 def test_nested_stack_past_the_recursion_limit(n):
     assert sys.getrecursionlimit() < n
@@ -572,6 +588,26 @@ def test_coverage_report_classifies_only_the_faces_vertical_faces_name(monkeypat
     assert rep.outside_pieces == base + classify_pieces(extra).total
 
 
+def test_hot_paths_build_no_piece(monkeypatch):
+    cfg, faces = _three_stack_config()
+    d = next(iter(faces.values()))
+
+    class NoPiece:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a Piece was built")
+
+    monkeypatch.setattr(dividing, "Piece", NoPiece)
+    assert classify_pieces(d).total == len(d.arcs) + 1
+    assert admissible(cfg, faces)
+    assert coverage_report(cfg, faces, max_outside=100, min_pieces_per_face=1).within_bounds
+    assert prisms.config_order(cfg, cfg, faces) == "equal"
+    rep = classify_pieces(d)
+    with pytest.raises(AssertionError, match="a Piece was built"):
+        rep.pieces
+    monkeypatch.undo()
+    assert rep.pieces is rep.pieces
+
+
 def test_coverage_report_names_a_missing_face():
     cfg, faces = _three_stack_config()
     first = next(vf.face for _, p in cfg.all_prisms() for vf in p.vertical_faces)
@@ -600,8 +636,9 @@ def test_vertical_face_holds_only_the_pieces_between_its_arcs():
     assert arcs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
     for lo, hi in ((1, 2), (0, 1), (1, 3), (0, 4), (2, 2)):
         for bottom, top in ((arcs[lo], arcs[hi]), (arcs[hi][::-1], arcs[lo])):
-            pieces = prisms._stack_between(rep, bottom, top)
-            assert pieces is not None
+            between = prisms._stack_between(rep, bottom, top)
+            assert between is not None
+            pieces = [rep.pieces[i] for i in between]
             assert pieces == [p for p in rep.pieces if p.kind is PieceKind.ORDINARY
                               and arcs[lo] < tuple(sorted(p.chords[0])) <= arcs[hi]]
             assert len(pieces) == hi - lo

@@ -14,9 +14,9 @@ from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, CarriedSurface, Classification,
                            Component, CycleRef, Sector, Side, TriplePoint, _find,
-                           _sector_refs, carried_adjacency_graph, carried_surface, classify,
-                           fully_carried, klein_double, satisfies_switch, switch_system,
-                           switch_violation, validate)
+                           _sector_refs, adjacency_graph, carried_adjacency_graph,
+                           carried_surface, classify, fully_carried, klein_double,
+                           satisfies_switch, switch_system, switch_violation, validate)
 
 
 def combine(basis, coeffs):
@@ -670,6 +670,16 @@ def test_carried_adjacency_graph_matches_reference_at_scale(surf):
     assert sum(w) == 2 * 10 ** 5
     s = carried_surface(surf, w)
     assert carried_adjacency_graph(s) == _graph_lines(_reference_carried_adjacency_graph(s))
+
+
+@pytest.mark.parametrize("seed, roles", [(1, (0, 1, 1)), (0, (0, 0, 1))])
+def test_adjacency_graph_lists_each_neighbour_once(seed, roles):
+    # one sector on two sides of the arc, as the carry export reads it
+    b = _self_incident(random.Random(seed))
+    arc = b.branch_arcs[0]
+    assert (arc.merged_sector, arc.upper_sector, arc.lower_sector) == roles
+    assert adjacency_graph(b) == [("sector0", ["arc0"]), ("sector1", ["arc0"]),
+                                  ("arc0", ["sector0", "sector1"])]
 
 
 def test_carried_theta_closed_forms_at_scale():

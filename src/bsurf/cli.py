@@ -42,9 +42,10 @@ def cmd_validate(args) -> int:
                 if f.verdict != "ok":
                     print(f"  circuit at {f.circuit.vertex}: {f.verdict} ({f.detail})")
                     failures.append(f"holonomy {tid}")
+    verdicts = prisms.admissible_each(doc.prism_configs, doc.dividing_sets)
     for name, cfg in sorted(doc.prism_configs.items()):
         problems = prisms.validate_configuration(cfg, doc.dividing_sets)
-        report = prisms.admissible(cfg, doc.dividing_sets)
+        report = verdicts[name]
         ok = report and not problems
         print(f"prism configuration {name}: {'admissible' if ok else 'FAIL'}")
         for p in problems:

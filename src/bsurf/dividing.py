@@ -29,16 +29,18 @@ class FaceModel:
     oriented_ccw: bool = True
 
     def __post_init__(self):
+        slots = self.slots
+        if len(set(slots)) == len(slots):
+            return
         seen = set()
-        for edge in self.edge_slots:
-            for s in edge:
-                if s in seen:
-                    raise ValueError(f"slot {s} declared twice on face {self.face}")
-                seen.add(s)
+        for s in slots:                   # name the first repeated slot
+            if s in seen:
+                raise ValueError(f"slot {s} declared twice on face {self.face}")
+            seen.add(s)
 
     @property
     def slots(self) -> tuple[int, ...]:
-        return tuple(s for edge in self.edge_slots for s in edge)
+        return tuple(itertools.chain.from_iterable(self.edge_slots))
 
     @cached_property
     def _slot_index(self) -> dict[int, tuple[int, int, int]]:
@@ -46,8 +48,8 @@ class FaceModel:
         index = {}
         start = 0
         for e, edge in enumerate(self.edge_slots):
-            for i, s in enumerate(edge):
-                index[s] = (e, i, start + i)
+            index.update(zip(edge, zip(itertools.repeat(e), itertools.count(),
+                                       itertools.count(start))))
             start += len(edge) + 1
         return index
 
@@ -86,25 +88,35 @@ class DividingSet:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        used = []
-        for a in self.arcs:
-            if len(a) != 2 or a[0] == a[1]:
-                raise ValueError(f"malformed arc {a}")
-            used.extend(a)
-        slots = self.face.slots
-        if sorted(used) != sorted(slots):
-            raise ValueError(f"face {self.face.face}: every slot must be used by exactly one arc")
+        arcs, slots = self.arcs, self.face.slots
+        # Pairs whose 2 * len(arcs) ends are the face's distinct slots make a
+        # perfect matching; only otherwise are the arcs read one by one, to
+        # name the fault.
+        try:
+            used = set(itertools.chain.from_iterable(arcs))
+            matching = (set(map(len, arcs)) <= {2} and len(used) == 2 * len(arcs) == len(slots)
+                        and used.issuperset(slots))
+        except TypeError:
+            matching = False
+        if not matching:
+            used = []
+            for a in arcs:
+                if len(a) != 2 or a[0] == a[1]:
+                    raise ValueError(f"malformed arc {a}")
+                used.extend(a)
+            if sorted(used) != sorted(slots):
+                raise ValueError(
+                    f"face {self.face.face}: every slot must be used by exactly one arc")
         # A matching is planar iff its arcs nest like brackets along the
         # boundary.  Both slots of an arc map to the same stored tuple.
-        arc_at = self._arc_index
-        open_arcs = []
-        for s in slots:
-            arc = arc_at[s]
-            if open_arcs and open_arcs[-1] is arc:
-                open_arcs.pop()
+        open_arcs = [None]
+        push, pop = open_arcs.append, open_arcs.pop
+        for arc in map(self._arc_index.__getitem__, slots):
+            if open_arcs[-1] is arc:
+                pop()
             else:
-                open_arcs.append(arc)
-        if not open_arcs:
+                push(arc)
+        if len(open_arcs) == 1:
             return
         # Name the first crossing pair in arc order.
         pos = self.face.positions()
@@ -118,7 +130,9 @@ class DividingSet:
 
     @cached_property
     def _arc_index(self) -> dict[int, tuple[int, int]]:
-        return {s: arc for arc in self.arcs for s in arc}
+        arcs = self.arcs
+        return dict(zip(itertools.chain.from_iterable(arcs),
+                        itertools.chain.from_iterable(zip(arcs, arcs))))
 
     def arc_of(self, slot: int) -> tuple[int, int]:
         try:
@@ -239,10 +253,10 @@ def _site_strands(d: DividingSet, site: SquareSite):
 
 
 def _check_square(d: DividingSet, strands) -> None:
-    pos = d.face.positions()
+    index = d.face._slot_index        # slot -> (edge, offset, position)
     (a1, t1, b1), (a2, t2, b2), (a3, t3, b3) = strands
     # parallel pattern t1 t2 t3 b3 b2 b1 up to rotation, others interspersed
-    ring = sorted([t1, t2, t3, b3, b2, b1], key=lambda s: pos[s])
+    ring = sorted([t1, t2, t3, b3, b2, b1], key=lambda s: index[s][2])
     start = ring.index(t1)
     rotated = ring[start:] + ring[:start]
     if rotated != [t1, t2, t3, b3, b2, b1]:
@@ -253,13 +267,15 @@ def _check_square(d: DividingSet, strands) -> None:
     # flips every side or none.  An arc separating strands 1 and 2 is named
     # before one separating only strands 2 and 3.
     strand_slots = {t1, b1, t2, b2, t3, b3}
-    tops = [pos[t1], pos[t2], pos[t3]]
+    p1, p2, p3 = index[t1][2], index[t2][2], index[t3][2]
     crossing = None
     for other in d.arcs:
         if other[0] in strand_slots:
             continue
-        lo, hi = sorted((pos[other[0]], pos[other[1]]))
-        i1, i2, i3 = (lo < p < hi for p in tops)
+        lo, hi = index[other[0]][2], index[other[1]][2]
+        if lo > hi:
+            lo, hi = hi, lo
+        i1, i2, i3 = lo < p1 < hi, lo < p2 < hi, lo < p3 < hi
         if i1 != i2:
             crossing = other
             break

@@ -4,12 +4,18 @@ Each entity's fields are declared once, in the tables below, for both
 ``loads`` and ``dumps``.  Loading checks JSON types strictly, rejects unknown
 keys, keys repeated in one object and duplicate names, resolves
 cross-references and checks module invariants, stopping at the first fault
-with a located ``DocumentError``.
-Saving is canonical (sorted keys, fixed indentation) so round-trips are byte-exact.
+with a located ``DocumentError``.  Lists are type-checked whole, and an
+item's indexed path is built only to name a fault.
+
+Saving is canonical, so round-trips are byte-exact: ``dumps`` writes the
+text of ``json.dumps(value, indent=1, sort_keys=True)``.  It has its own
+writer, because ``indent`` sends ``json`` to its pure-Python encoder; the
+tests keep ``json.dumps`` as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -79,18 +85,36 @@ def _fail(want: str, v, where: str, path: str):
 
 
 def _list(item, n=None, make=tuple, save=list):
-    """A list of ``item``: ``make`` builds it, ``save`` saves scalars, ``n`` fixes its length."""
+    """A list of ``item``: ``make`` builds it, ``save`` saves scalars, ``n`` fixes its length.
+
+    Items are checked in C-level passes over the whole list, with the list's
+    own path; only after a fault are the items read again one by one under
+    their indexed paths, to raise the located error."""
     scalar = item.__class__ is type
+    rows = None if scalar else getattr(item[0], "rows", None)    # a list of scalar lists
 
     def dec(v, where, path):
         if type(v) is not list or n is not None and len(v) != n:
             _fail("list" if n is None else f"{n} items", v, where, path)
         if scalar:
-            for i, x in enumerate(v):
+            if set(map(type, v)) <= {item}:
+                return make(v)
+            for i, x in enumerate(v):           # raises at the first fault
                 if type(x) is not item:
                     _fail(item.__name__, x, where, f"{path}[{i}]")
-            return make(v)
+        elif rows is not None:
+            kind, size, build = rows
+            if (set(map(type, v)) <= {list} and (size is None or set(map(len, v)) <= {size})
+                    and set(map(type, itertools.chain.from_iterable(v))) <= {kind}):
+                return make(map(build, v))
+        else:
+            try:
+                return make(item[0](x, where, path) for x in v)
+            except DocumentError:
+                pass
         return make(item[0](x, where, f"{path}[{i}]") for i, x in enumerate(v))
+    if scalar:
+        dec.rows = item, n, make
     return dec, (save if scalar else lambda v: [item[1](x) for x in v])
 
 
@@ -393,9 +417,69 @@ def _surface_name(doc: ComplexDocument, fd, domain_name: str) -> str:
                         "its quotient surface is not declared in the document")
 
 
-def dumps(doc: ComplexDocument) -> str:
-    """Canonical text; cross-references fill fields the values lack."""
-    raw = _DOCUMENT[1](dict(
+# ---------------------------------------------------------------------------
+# The canonical writer: the text of ``json.dumps(v, indent=1, sort_keys=True)``
+# without its pure-Python encoder.  A list of ints, or of equal-length int
+# lists (arcs, edge slots), is written by one ``%d`` template filled in C.
+
+_STR = json.encoder.encode_basestring_ascii
+
+
+def _scalar(v) -> str:
+    if isinstance(v, str):
+        return _STR(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return json.dumps(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _STR(k)
+    if k is None or isinstance(k, (int, float)):
+        return _STR(_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _text(v, indent: str) -> str:
+    """``v`` as ``json.dumps`` writes it with ``indent=1, sort_keys=True``, at ``indent``."""
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = indent + " "
+        body = (",\n" + inner).join(f"{_key(k)}: {_text(x, inner)}"
+                                    for k, x in sorted(v.items()))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if not isinstance(v, (list, tuple)):
+        return _scalar(v)
+    if not v:
+        return "[]"
+    inner = indent + " "
+    sep = ",\n" + inner
+    types = set(map(type, v))
+    if types == {int}:
+        body = sep.join(["%d"] * len(v)) % tuple(v)
+    elif types <= {list, tuple} and len(sizes := set(map(len, v))) == 1 \
+            and set(map(type, itertools.chain.from_iterable(v))) == {int}:
+        deeper = inner + " "
+        row = f"[\n{deeper}" + (",\n" + deeper).join(["%d"] * sizes.pop()) + f"\n{inner}]"
+        body = sep.join([row] * len(v)) % tuple(itertools.chain.from_iterable(v))
+    else:
+        body = sep.join(_text(x, inner) for x in v)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _raw(doc: ComplexDocument) -> dict:
+    """The JSON value that ``dumps`` writes; cross-references fill fields the values lack."""
+    return _DOCUMENT[1](dict(
         format_version=doc.version, branched_surfaces=doc.surfaces, faces=doc.faces,
         dividing_sets=doc.dividing_sets, tetrahedra=doc.tetrahedra, holonomy=doc.holonomy,
         weights={n: dict(surface=s, entries=v) for n, (s, v) in doc.weights.items()},
@@ -408,7 +492,11 @@ def dumps(doc: ComplexDocument) -> str:
             n: dict(tets={tid: dict(vars(sel), prisms=cfg.prisms.get(tid, ()))
                           for tid, sel in cfg.selections.items()})
             for n, cfg in doc.prism_configs.items()}))
-    return json.dumps(raw, indent=1, sort_keys=True) + "\n"
+
+
+def dumps(doc: ComplexDocument) -> str:
+    """Canonical text: ``json.dumps(_raw(doc), indent=1, sort_keys=True) + "\\n"``."""
+    return _text(_raw(doc), "") + "\n"
 
 
 def save(doc: ComplexDocument, path) -> None:

@@ -9,7 +9,8 @@ singular-line endpoints around a vertex corner; the validator accepts
 exactly the circuits composing to -1.
 
 ``admissible`` and ``coverage_report`` share one walk over the vertical
-faces that classifies each named face once.  Every piece of a
+faces that classifies each named face once; ``admissible_each`` keeps
+those reports across the configurations of one complex.  Every piece of a
 ``classify_pieces`` stack is ordinary, so a vertical face whose arcs
 bound a run of one stack holds only ordinary pieces.  The walk gives a
 vertical face as the index range of those pieces, read from the report's
@@ -242,12 +243,12 @@ def _stack_between(report: PieceReport, bottom, top) -> Optional[range]:
     return None
 
 
-def _face_walk(config: PrismConfiguration, dividing: dict[str, DividingSet]):
+def _face_walk(config: PrismConfiguration, dividing: dict[str, DividingSet],
+               reports: dict[str, PieceReport]):
     """Each vertical face in order, with its face's piece report (None without
     dividing data) and the index range of its pieces (None unless its arcs
     bound a run of one stack).  Each named face is classified once, by
-    ``classify_pieces``."""
-    reports: dict[str, PieceReport] = {}
+    ``classify_pieces``, and its report kept in ``reports``."""
     for _, prism in config.all_prisms():
         for vf in prism.vertical_faces:
             if vf.face not in dividing:
@@ -264,7 +265,20 @@ def admissible(config: PrismConfiguration,
     """Every vertical prism face must be a run of one stack: stack pieces are
     ordinary and off the corners.  The certificate names the first vertical
     face that fails, in ``config.all_prisms()`` order."""
-    for vf, report, between in _face_walk(config, dividing):
+    return _admissible(config, dividing, {})
+
+
+def admissible_each(configs: dict[str, PrismConfiguration],
+                    dividing: dict[str, DividingSet]) -> dict[str, AdmissibilityReport]:
+    """``admissible`` for each configuration of one complex, by name; a face
+    that several configurations name is classified once for all of them."""
+    reports: dict[str, PieceReport] = {}
+    return {name: _admissible(cfg, dividing, reports) for name, cfg in configs.items()}
+
+
+def _admissible(config: PrismConfiguration, dividing: dict[str, DividingSet],
+                reports: dict[str, PieceReport]) -> AdmissibilityReport:
+    for vf, report, between in _face_walk(config, dividing, reports):
         if report is None:
             return AdmissibilityReport(False, f"face {vf.face}: no dividing data")
         if between is not None:
@@ -358,7 +372,7 @@ def coverage_report(config: PrismConfiguration, dividing: dict[str, DividingSet]
     # len(d.arcs) + 1 pieces, one inside each arc and the root.
     covered: dict[str, set] = {}
     thin = []
-    for vf, report, between in _face_walk(config, dividing):
+    for vf, report, between in _face_walk(config, dividing, {}):
         if report is None:
             raise KeyError(vf.face)
         between = between or range(0)

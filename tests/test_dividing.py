@@ -49,6 +49,32 @@ def test_duplicate_slot_declaration_rejected():
         FaceModel(face="F", edge_slots=((0, 1), (1, 2), ()))
 
 
+def test_the_first_slot_declared_twice_is_named():
+    with pytest.raises(ValueError) as exc:
+        FaceModel(face="F", edge_slots=((0, 1), (2, 1), (3, 2)))
+    assert str(exc.value) == "slot 1 declared twice on face F"
+
+
+@pytest.mark.parametrize("arcs, message", [
+    (((0, 5), (1, 1), (2, 3)), "malformed arc (1, 1)"),
+    (((0, 5), (1, 2, 3), (4, 4)), "malformed arc (1, 2, 3)"),
+    (((0,),), "malformed arc (0,)"),
+    (((0, 5), (1, 2)), "face F: every slot must be used by exactly one arc"),
+    (((0, 5), (1, 2), (3, 5)), "face F: every slot must be used by exactly one arc"),
+    (((0, 5), (1, 2), (3, 9)), "face F: every slot must be used by exactly one arc"),
+    (((0, 5), (1, 2), (3, 4), (6, 7)), "face F: every slot must be used by exactly one arc"),
+    (((2, 3), (0, 4), (1, 5)), "non-planar dividing set: arcs (0, 4) and (1, 5) cross"),
+    (((0, 2), (1, 4), (3, 5)), "non-planar dividing set: arcs (0, 2) and (1, 4) cross"),
+], ids=["repeated-end", "three-ends", "one-end", "slot-unused", "slot-used-twice",
+        "slot-off-face", "extra-arc", "crossing-late", "first-crossing-pair"])
+def test_dividing_set_errors_keep_their_text(arcs, message):
+    fm = FaceModel(face="F", edge_slots=((0, 1, 2, 3), (4, 5), ()))
+    DividingSet(face=fm, arcs=((0, 5), (1, 2), (3, 4)))
+    with pytest.raises(ValueError) as exc:
+        DividingSet(face=fm, arcs=arcs)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=80)
 @given(st.integers(0, 10 ** 6))
 def test_random_noncrossing_faces_are_valid(seed):

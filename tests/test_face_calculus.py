@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsurf import dividing, fixtures, prisms
+from bsurf import cli, dividing, fixtures, io, prisms
 from bsurf.dividing import (DividingSet, FaceModel, Piece, PieceKind, PieceReport, PieceRole,
                             boundary_parallel_arcs, classify_pieces, extremal_components)
 from bsurf.prisms import (Prism, PrismConfiguration, PrismSelection, VerticalFace,
@@ -290,6 +290,33 @@ def reference_check_square(d: DividingSet, strands) -> None:
                 raise ValueError(f"malformed square: arc {other} crosses the square region")
 
 
+def positions_check_square(d: DividingSet, strands) -> None:
+    """The square check as it read a fresh positions dict and sorted the two
+    ends of every other arc."""
+    pos = d.face.positions()
+    (a1, t1, b1), (a2, t2, b2), (a3, t3, b3) = strands
+    ring = sorted([t1, t2, t3, b3, b2, b1], key=lambda s: pos[s])
+    start = ring.index(t1)
+    rotated = ring[start:] + ring[:start]
+    if rotated != [t1, t2, t3, b3, b2, b1]:
+        raise ValueError("malformed square: strand ends are not in parallel position")
+    strand_slots = {t1, b1, t2, b2, t3, b3}
+    tops = [pos[t1], pos[t2], pos[t3]]
+    crossing = None
+    for other in d.arcs:
+        if other[0] in strand_slots:
+            continue
+        lo, hi = sorted((pos[other[0]], pos[other[1]]))
+        i1, i2, i3 = (lo < p < hi for p in tops)
+        if i1 != i2:
+            crossing = other
+            break
+        if crossing is None and i2 != i3:
+            crossing = other
+    if crossing is not None:
+        raise ValueError(f"malformed square: arc {crossing} crosses the square region")
+
+
 # ---------------------------------------------------------------------------
 # random faces: shuffled slot labels, empty edges, arcs in any order and
 # orientation
@@ -455,6 +482,22 @@ def test_square_check_reference_draws_valid_and_crossing_squares():
     assert min(outcomes.values()) >= 50
 
 
+def test_square_check_names_the_arc_the_positions_check_named():
+    outcomes = collections.Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        fm = _random_face(rng, 40)
+        d = DividingSet(face=fm, arcs=_noncrossing_arcs(rng, fm.slots))
+        if len(d.arcs) < 3:
+            continue
+        for strands in _square_sites(rng, d):
+            got = _square_outcome(dividing._check_square, d, strands)
+            assert got == _square_outcome(positions_check_square, d, strands)
+            outcomes[got.split(": arc")[0]] += 1
+    assert min(outcomes.values()) >= 50
+    assert outcomes["malformed square"] > outcomes["ok"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 14))
 def test_slot_lookups_match_linear_scans(rng, max_arcs):
@@ -586,6 +629,28 @@ def test_coverage_report_classifies_only_the_faces_vertical_faces_name(monkeypat
     rep = coverage_report(cfg, {**faces, "Z": extra})
     assert "Z" not in calls
     assert rep.outside_pieces == base + classify_pieces(extra).total
+
+
+def test_validate_classifies_each_face_once_over_all_configurations(monkeypatch, tmp_path,
+                                                                   capsys):
+    full, faces = _three_stack_config()
+    half = PrismConfiguration(selections={"G1": full.selections["G1"]},
+                              prisms={"G1": full.prisms["G1"]})
+    (t1, t2), _ = fixtures.two_tetrahedra(6)
+    doc = io.ComplexDocument(faces={fid: d.face for fid, d in faces.items()},
+                             dividing_sets=faces, tetrahedra={"G1": t1, "G2": t2},
+                             prism_configs={"full": full, "half": half})
+    path = tmp_path / "two_configurations.json"
+    io.save(doc, path)
+    assert prisms.admissible_each(doc.prism_configs, faces) == {
+        "full": admissible(full, faces), "half": admissible(half, faces)}
+    calls = _counting(monkeypatch)
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "prism configuration full: admissible", "prism configuration half: admissible"]
+    named = {vf.face for _, p in full.all_prisms() for vf in p.vertical_faces}
+    assert sorted(calls) == sorted(named)
+    assert {vf.face for _, p in half.all_prisms() for vf in p.vertical_faces} < named
 
 
 def test_hot_paths_build_no_piece(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import shlex
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -780,3 +781,122 @@ def test_angle_memo_lives_for_one_load():
     assert first[0].angle[0] is first[1].angle[0]
     assert not {id(v) for x in first for v in x.angle.values} & {
         id(v) for x in second for v in x.angle.values}
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against json.dumps(..., indent=1, sort_keys=True)
+
+def _written(write, value):
+    try:
+        return write(value)
+    except TypeError:
+        return TypeError
+
+
+def _json_text(value):
+    return json.dumps(value, indent=1, sort_keys=True)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+           | st.floats() | st.text())
+KEYS = st.text() | st.integers() | st.none() | st.booleans() | st.floats()
+ROWS = st.integers(0, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers() | st.booleans(), min_size=n, max_size=n)
+    | st.tuples(*[st.integers()] * n), max_size=6))
+JSON_VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda kids: (st.lists(kids, max_size=5) | st.tuples(kids, kids)
+                  | st.dictionaries(st.text(), kids, max_size=5)
+                  | st.dictionaries(KEYS, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+def test_writer_writes_what_json_dumps_writes(value):
+    assert (_written(lambda v: io._text(v, ""), value) == _written(_json_text, value))
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, [1, 2, {3}], {(1, 2): 3}, {"a": 1, 2: 3},
+                                   [[1, 2], [3, b"4"]]])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+    with pytest.raises(TypeError):
+        io._text(value, "")
+
+
+ODD_NAMES = st.text(st.sampled_from(list('aZ09-_ "\\/\n\t\x00\x7fé☃\U0001F600')),
+                    min_size=1, max_size=6)
+FACE_SIZES = st.sampled_from([(0, 0, 0), (1, 0, 2), (3, 3, 3), (144, 144, 144)])
+
+
+@st.composite
+def _documents(draw):
+    """Documents with escaped and non-ASCII names, empty lists and objects, a
+    None diagonal, p/q angles and, at times, 432-arc stack faces."""
+    doc = io.ComplexDocument()
+    for fid in draw(st.lists(ODD_NAMES, max_size=3, unique=True)):
+        d = fixtures.stack_face(*draw(FACE_SIZES), face=fid)
+        doc.faces[fid] = d.face
+        if draw(st.booleans()):
+            doc.dividing_sets[fid] = d
+    if draw(st.booleans()):
+        fd, xs = draw(exact_ensembles())
+        surface_name, domain_name = draw(ODD_NAMES), draw(ODD_NAMES)
+        doc.surfaces[surface_name], doc.domains[domain_name] = fd.quotient, fd
+        doc.weights[draw(ODD_NAMES)] = (surface_name, tuple(draw(st.lists(st.integers()))))
+        doc.ensembles[draw(ODD_NAMES)] = (domain_name, tuple(
+            replace(x, label=draw(ODD_NAMES)) for x in xs))
+    if draw(st.booleans()):
+        t, _ = fixtures.simple_tetrahedron(2, tet=draw(ODD_NAMES))
+        doc.tetrahedra[t.index] = t
+        doc.holonomy[t.index] = fixtures.holonomy_all_minus_one(t)
+        sel = prisms.PrismSelection(frozenset(draw(st.sets(ODD_NAMES, max_size=2))),
+                                    draw(st.sampled_from([None, 0, 2])))
+        doc.prism_configs[draw(ODD_NAMES)] = prisms.PrismConfiguration(
+            selections={t.index: sel}, prisms={t.index: (prisms.Prism(draw(ODD_NAMES), ()),)})
+    if draw(st.booleans()):
+        doc.prism_configs[draw(ODD_NAMES)] = prisms.PrismConfiguration(selections={}, prisms={})
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_documents())
+def test_dumps_writes_what_json_dumps_writes(doc):
+    assert io.dumps(doc) == _json_text(io._raw(doc)) + "\n"
+
+
+def test_shipped_documents_save_as_json_dumps_writes():
+    for p in sorted(DOCS.glob("*.json")):
+        assert io.dumps(io.load(p)) == _json_text(json.loads(p.read_text(encoding="utf-8"))) + "\n"
+
+
+# A fault deep in a long list keeps its location and its text.
+_LONG = fixtures.stack_face(1000, 1000, 1000, face="F")
+_LONG_RAW = json.loads(io.dumps(io.ComplexDocument(faces={"F": _LONG.face},
+                                                   dividing_sets={"F": _LONG})))
+ARCS = ("dividing_sets", 0, "arcs")
+
+
+@pytest.mark.parametrize("path, value, err", [
+    (ARCS + (2999,), True, "parse error at dividing_set on F arcs[2999]: expected list, got true"),
+    (ARCS + (2999,), "7", 'parse error at dividing_set on F arcs[2999]: expected list, got "7"'),
+    (ARCS + (2999,), [1, 2, 3], "invariant violation at dividing_set on F: "
+     "dividing_set_calculus rule slot-matching: malformed arc (1, 2, 3)"),
+    (ARCS + (2999, 1), True,
+     "parse error at dividing_set on F arcs[2999][1]: expected int, got true"),
+    (ARCS + (2999, 1), "7",
+     'parse error at dividing_set on F arcs[2999][1]: expected int, got "7"'),
+    (("faces", 0, "edge_slots", 2, 1999), True,
+     "parse error at face F edge_slots[2][1999]: expected int, got true"),
+    (("faces", 0, "edge_slots", 2, 1999), 5, "invariant violation at face F: "
+     "dividing_set_calculus rule slot-order: slot 5 declared twice on face F"),
+])
+def test_a_fault_deep_in_a_long_list_is_located(path, value, err):
+    assert len(_LONG_RAW["dividing_sets"][0]["arcs"]) == 3000
+    raw = copy.deepcopy(_LONG_RAW)
+    _mutate(raw, path, value)
+    with pytest.raises(io.DocumentError) as exc:
+        io.loads(json.dumps(raw))
+    assert str(exc.value) == err

@@ -48,8 +48,8 @@ class FaceModel:
         index = {}
         start = 0
         for e, edge in enumerate(self.edge_slots):
-            index.update(zip(edge, zip(itertools.repeat(e), itertools.count(),
-                                       itertools.count(start))))
+            for i, s in enumerate(edge):
+                index[s] = (e, i, start + i)
             start += len(edge) + 1
         return index
 
@@ -88,35 +88,27 @@ class DividingSet:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arcs, slots = self.arcs, self.face.slots
-        # Pairs whose 2 * len(arcs) ends are the face's distinct slots make a
-        # perfect matching; only otherwise are the arcs read one by one, to
-        # name the fault.
-        try:
-            used = set(itertools.chain.from_iterable(arcs))
-            matching = (set(map(len, arcs)) <= {2} and len(used) == 2 * len(arcs) == len(slots)
-                        and used.issuperset(slots))
-        except TypeError:
-            matching = False
-        if not matching:
-            used = []
-            for a in arcs:
-                if len(a) != 2 or a[0] == a[1]:
-                    raise ValueError(f"malformed arc {a}")
-                used.extend(a)
-            if sorted(used) != sorted(slots):
-                raise ValueError(
-                    f"face {self.face.face}: every slot must be used by exactly one arc")
+        # The arcs are a perfect matching of the slots: each arc joins two
+        # distinct slots, and together they use each slot exactly once.
+        used = []
+        for a in self.arcs:
+            if len(a) != 2 or a[0] == a[1]:
+                raise ValueError(f"malformed arc {a}")
+            used.extend(a)
+        slots = self.face.slots
+        if sorted(used) != sorted(slots):
+            raise ValueError(f"face {self.face.face}: every slot must be used by exactly one arc")
         # A matching is planar iff its arcs nest like brackets along the
         # boundary.  Both slots of an arc map to the same stored tuple.
-        open_arcs = [None]
-        push, pop = open_arcs.append, open_arcs.pop
-        for arc in map(self._arc_index.__getitem__, slots):
-            if open_arcs[-1] is arc:
-                pop()
+        arc_at = self._arc_index
+        open_arcs = []
+        for s in slots:
+            arc = arc_at[s]
+            if open_arcs and open_arcs[-1] is arc:
+                open_arcs.pop()
             else:
-                push(arc)
-        if len(open_arcs) == 1:
+                open_arcs.append(arc)
+        if not open_arcs:
             return
         # Name the first crossing pair in arc order.
         pos = self.face.positions()
@@ -130,9 +122,7 @@ class DividingSet:
 
     @cached_property
     def _arc_index(self) -> dict[int, tuple[int, int]]:
-        arcs = self.arcs
-        return dict(zip(itertools.chain.from_iterable(arcs),
-                        itertools.chain.from_iterable(zip(arcs, arcs))))
+        return {s: arc for arc in self.arcs for s in arc}
 
     def arc_of(self, slot: int) -> tuple[int, int]:
         try:
@@ -311,9 +301,12 @@ def bypass_surgery(d: DividingSet, site, side: Side = Side.POSITIVE) -> Dividing
 
 def _halfdisk_surgery(d: DividingSet, site: HalfDiskSite) -> DividingSet:
     wanted = tuple(sorted(site.arc))
-    candidates = {tuple(sorted(b.arc)): b for b in boundary_parallel_arcs(d)}
-    if wanted not in candidates:
+    usable = {tuple(sorted(b.arc)): b.usable for b in boundary_parallel_arcs(d)}
+    if wanted not in usable:
         raise ValueError(f"arc {site.arc} is not a boundary-parallel half-disk site")
+    if not usable[wanted]:
+        raise ValueError(f"arc {site.arc} is the only arc on face {d.face.face}: "
+                         "its half-disk is not a usable bypass site")
     gone = set(wanted)
     f = d.face
     new_face = FaceModel(

@@ -320,7 +320,7 @@ def minimal_generators(s: ConeSystem) -> MinimalGenerators:
 DEFAULT_BUDGET = 20_000_000
 
 
-def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
+def _enumerate_solutions(s: ConeSystem, bound: int):
     """Nonzero solutions with max entry <= bound, in lexicographic order.
 
     Walks {0..bound}^d with the last coordinate fastest.  Each relation
@@ -328,8 +328,8 @@ def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
     it fix its partial sum, which leaves at most one value there.  The
     walk keeps an explicit stack, so no recursion grows with d.  Only the
     coordinates with no relation due range freely, so the walk visits at
-    most (bound+1)^free points; that bound is checked against the budget
-    before the walk starts.
+    most (bound+1)^free points; that bound is checked against
+    ``DEFAULT_BUDGET`` before the walk starts.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -340,9 +340,9 @@ def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
             due[max(i for i, c in enumerate(row) if c)].append(row)
     free = sum(1 for rows in due if not rows)
     total = (bound + 1) ** free
-    if total > budget:
-        raise ValueError(f"enumeration budget exceeded: {bound + 1}^{free} = {total} > {budget}"
-                         f" ({free} of {d} coordinates free)")
+    if total > DEFAULT_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {bound + 1}^{free} = {total}"
+                         f" > {DEFAULT_BUDGET} ({free} of {d} coordinates free)")
     values = range(bound + 1)
     x = [0] * d
 
@@ -372,13 +372,12 @@ def _enumerate_solutions(s: ConeSystem, bound: int, budget: int):
             stack.append(iter(choices(j + 1)))
 
 
-def brute_force_minimals(s: ConeSystem, bound: int,
-                         budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
+def brute_force_minimals(s: ConeSystem, bound: int) -> tuple[tuple[int, ...], ...]:
     """Oracle: enumerate all of {0..bound}^d, filter, take minimal nonzero.
 
     Complete whenever every true minimal element has max entry <= bound.
     """
-    return tuple(sorted(_minimal_filter(_enumerate_solutions(s, bound, budget))))
+    return tuple(sorted(_minimal_filter(_enumerate_solutions(s, bound))))
 
 
 @dataclass(frozen=True)
@@ -423,7 +422,6 @@ def decompose(w: Sequence[int], g: MinimalGenerators) -> Decomposition:
     return Decomposition(coefficients=tuple(counts), generators=g)
 
 
-def solutions_up_to(s: ConeSystem, bound: int,
-                    budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
+def solutions_up_to(s: ConeSystem, bound: int) -> tuple[tuple[int, ...], ...]:
     """All nonzero solutions with max entry <= bound (oracle-side helper)."""
-    return tuple(_enumerate_solutions(s, bound, budget))
+    return tuple(_enumerate_solutions(s, bound))

@@ -4,8 +4,8 @@ Each entity's fields are declared once, in the tables below, for both
 ``loads`` and ``dumps``.  Loading checks JSON types strictly, rejects unknown
 keys, keys repeated in one object and duplicate names, resolves
 cross-references and checks module invariants, stopping at the first fault
-with a located ``DocumentError``.  Lists are type-checked whole, and an
-item's indexed path is built only to name a fault.
+with a located ``DocumentError``.  List items are decoded under their
+indexed paths; only lists of scalar lists are type-checked whole first.
 
 Saving is canonical, so round-trips are byte-exact: ``dumps`` writes the
 text of ``json.dumps(value, indent=1, sort_keys=True)``.  It has its own
@@ -87,9 +87,9 @@ def _fail(want: str, v, where: str, path: str):
 def _list(item, n=None, make=tuple, save=list):
     """A list of ``item``: ``make`` builds it, ``save`` saves scalars, ``n`` fixes its length.
 
-    Items are checked in C-level passes over the whole list, with the list's
-    own path; only after a fault are the items read again one by one under
-    their indexed paths, to raise the located error."""
+    Items are decoded one by one under their indexed paths.  A list of
+    scalar lists (arcs, edge slots) is first type-checked whole in C-level
+    passes, and is read item by item only to name a fault."""
     scalar = item.__class__ is type
     rows = None if scalar else getattr(item[0], "rows", None)    # a list of scalar lists
 
@@ -97,21 +97,15 @@ def _list(item, n=None, make=tuple, save=list):
         if type(v) is not list or n is not None and len(v) != n:
             _fail("list" if n is None else f"{n} items", v, where, path)
         if scalar:
-            if set(map(type, v)) <= {item}:
-                return make(v)
-            for i, x in enumerate(v):           # raises at the first fault
+            for i, x in enumerate(v):
                 if type(x) is not item:
                     _fail(item.__name__, x, where, f"{path}[{i}]")
-        elif rows is not None:
+            return make(v)
+        if rows is not None:
             kind, size, build = rows
             if (set(map(type, v)) <= {list} and (size is None or set(map(len, v)) <= {size})
                     and set(map(type, itertools.chain.from_iterable(v))) <= {kind}):
                 return make(map(build, v))
-        else:
-            try:
-                return make(item[0](x, where, path) for x in v)
-            except DocumentError:
-                pass
         return make(item[0](x, where, f"{path}[{i}]") for i, x in enumerate(v))
     if scalar:
         dec.rows = item, n, make
@@ -336,6 +330,11 @@ def loads(text: str) -> ComplexDocument:
         if len(vec) != len(b.sectors):
             raise DocumentError("invariant violation", where,
                                 f"length {len(vec)} != sector count {len(b.sectors)}")
+        for i, x in enumerate(vec):
+            if x < 0:
+                raise DocumentError("invariant violation", where,
+                                    "branched_surface_core rule nonnegative-entries: "
+                                    f"entry {x} on sector {i} is negative")
         if not surface.satisfies_switch(b, vec):
             raise DocumentError("invariant violation", where,
                                 "branched_surface_core rule switch-equations: "

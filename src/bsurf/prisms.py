@@ -169,6 +169,12 @@ class PrismConfiguration:
     selections: dict
     prisms: dict                      # tet id -> tuple[Prism, ...]
 
+    def __post_init__(self):
+        # a document saves prisms under their tetrahedron's selection
+        unselected = sorted(self.prisms.keys() - self.selections.keys())
+        if unselected:
+            raise ValueError(f"prisms on tetrahedra without a selection: {', '.join(unselected)}")
+
     def all_prisms(self):
         for tet, prisms in sorted(self.prisms.items()):
             for p in prisms:

@@ -14,7 +14,7 @@ from bsurf.domain import (AdjustedStructure, AngleFunction, FiberedDomain, Prune
                           prune_to_closed, quotient, structure_from_weight, validate_domain,
                           weight_of)
 from bsurf.hilbert import minimal_generators
-from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, Sector, Side,
+from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, Sector, Side, TriplePoint,
                            satisfies_switch, switch_system, switch_violation)
 
 DOCS = Path(__file__).resolve().parent.parent / "documents"
@@ -451,6 +451,44 @@ def test_prune_matches_reference_on_fixed_domains(case):
             for cap in (Fraction(3, 2), Fraction(100)):
                 assert (_outcome(prune, fd, ensemble, [s], cap)
                         == _outcome(_reference_prune, fd, ensemble, [s], cap))
+
+
+def looped_arcs_domain():
+    """Two branch arcs looped at one triple point, plus a closed torus T.
+
+    Arc 0 merges B and C into A, arc 1 merges A and D into B.  Pruning
+    removes T first, which keeps and renumbers the triple point, then C,
+    which kills arc 0 and, through their triple point, arc 1.
+    """
+    def cycle(arc, side):
+        return (CycleRef(arc, side),)
+
+    sectors = (Sector(0, 0, (), True, "T"),
+               Sector(1, 0, (cycle(0, Side.MERGED), cycle(1, Side.UPPER)), True, "A"),
+               Sector(2, 0, (cycle(0, Side.UPPER), cycle(1, Side.MERGED)), True, "B"),
+               Sector(3, 1, (cycle(0, Side.LOWER),), True, "C"),
+               Sector(4, 1, (cycle(1, Side.LOWER),), True, "D"))
+    arcs = (BranchArc(0, 1, 2, 3, endpoints=(0, 0)), BranchArc(1, 2, 1, 4, endpoints=(0, 0)))
+    b = BranchedSurface(sectors, arcs, (TriplePoint(0, (0, 1)),), "looped")
+    return FiberedDomain(quotient=b,
+                         vertical_annuli=(VerticalAnnulus(0, arcs=(0,)),
+                                          VerticalAnnulus(1, arcs=(1,))),
+                         boundary_sectors=frozenset({0, 3}), name="looped")
+
+
+def test_prune_through_a_triple_point_matches_reference():
+    fd = looped_arcs_domain()
+    assert validate_domain(fd).ok
+    kept, _, arc_to_new, _ = _restrict_surface(fd.quotient, {0})
+    assert kept.triple_points == (TriplePoint(0, (0, 1)),)
+    assert [a.endpoints for a in kept.branch_arcs] == [(0, 0), (0, 0)]
+    assert arc_to_new == {0: 0, 1: 1}
+    cut, _, arc_to_new, freed = _restrict_surface(fd.quotient, {3})
+    assert (cut.branch_arcs, cut.triple_points, arc_to_new) == ((), (), {})
+    assert freed == {1, 2, 4}
+    xs = _random_ensemble(random.Random(3), fd, 12)
+    for ensemble in (xs, xs[::-1], xs[:1], []):
+        assert prune_to_closed(fd, ensemble) == _reference_prune_to_closed(fd, ensemble)
 
 
 def test_prune_to_closed_restricts_each_sector_at_most_once(monkeypatch):

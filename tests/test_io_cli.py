@@ -219,6 +219,15 @@ def test_cli_bypass_halfdisk(tmp_path, capsys):
     assert "tb -2 -> -1" in out
 
 
+def test_cli_bypass_rejects_an_unusable_halfdisk(tmp_path, capsys):
+    d = fixtures.single_arc_disk()
+    path = tmp_path / "disk.json"
+    io.save(io.ComplexDocument(faces={"D": d.face}, dividing_sets={"D": d}), path)
+    assert cli.main(["bypass", str(path), "--face", "D", "--site", "halfdisk:0,1"]) == 1
+    assert capsys.readouterr() == ("", "error: arc (0, 1) is the only arc on face D: its "
+                                       "half-disk is not a usable bypass site\n")
+
+
 def test_cli_prune_reports_classes(capsys):
     rc = cli.main(["prune", str(DOCS / "complex.json")])
     out = capsys.readouterr().out
@@ -312,6 +321,21 @@ def test_cli_graph_export(tmp_path, capsys):
                        "--weight", weight, "--export-graph", str(out_path)])
         assert rc == 0
         assert out_path.read_bytes() == text.encode(), (name, weight)
+
+
+def test_cli_validate_graph_export(tmp_path, capsys):
+    out_path = tmp_path / "graph.txt"
+    rc = cli.main(["validate", str(DOCS / "three_sheets.json"), "--export-graph", str(out_path)])
+    assert (rc, capsys.readouterr().out) == (0, "surface three-sheets: pass\n"
+                                                "domain three-slabs: pass\n")
+    assert out_path.read_text(encoding="utf-8") == (
+        "three-sheets/sector0 three-sheets/arc0 three-sheets/arc1\n"
+        "three-sheets/sector1 three-sheets/arc0 three-sheets/arc1\n"
+        "three-sheets/sector2 three-sheets/arc0 three-sheets/arc1\n"
+        "three-sheets/arc0 three-sheets/sector0 three-sheets/sector1 three-sheets/sector2 "
+        "three-sheets/tp0\n"
+        "three-sheets/arc1 three-sheets/sector0 three-sheets/sector1 three-sheets/sector2 "
+        "three-sheets/tp0\n")
 
 
 def _reference_carry_out(name, b, w):
@@ -476,6 +500,7 @@ def _validate(doc, tmp_path, capsys):
 
 
 SURFACE = ("branched_surfaces", 0)
+CORE = "branched_surface_core rule"
 ANGLES = ("ensembles", 0, "structures", 0, "angles")
 
 
@@ -515,6 +540,43 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
      "parse error at ensemble pipeline structures[0].angles[2]: expected str or int, got true"),
     ("complex", ANGLES, [1, 1.0, 1],
      "parse error at ensemble pipeline structures[0].angles[1]: expected str or int, got 1.0"),
+    ("theta", SURFACE + ("sectors", 0, "index"), 5,
+     f"invariant violation at branched_surface theta (sector 5): {CORE} sector-index: "
+     "expected index 0"),
+    ("theta", SURFACE + ("branch_arcs", 0, "index"), 5,
+     f"invariant violation at branched_surface theta (arc 5): {CORE} arc-index: "
+     "expected index 0"),
+    ("theta", SURFACE + ("branch_arcs", 0, "endpoints"), [0, 0],
+     f"invariant violation at branched_surface theta (arc 0): {CORE} "
+     "dangling triple-point reference: triple point 0 does not exist"),
+    ("three_sheets", SURFACE + ("triple_points", 0, "arcs"), [0, 0],
+     f"invariant violation at branched_surface three-sheets (triple point 0): {CORE} "
+     "triple-point-arcs: must be an endpoint of exactly two distinct arcs, got [0, 1]"),
+    ("theta", SURFACE + ("sectors", 0, "boundary_cycles", 0, 0, "arc"), 9,
+     f"invariant violation at branched_surface theta (sector 0 cycle 0): {CORE} "
+     "dangling arc reference: arc 9 does not exist"),
+    ("theta", SURFACE + ("branch_arcs", 0, "upper_sector"), 1,
+     f"invariant violation at branched_surface theta (arc 0 upper): {CORE} arc-side-owner: "
+     "occupied by sector 0, declared 1"),
+    ("theta", SURFACE + ("sectors", 0, "boundary_cycles"),
+     [[{"arc": 0, "side": "upper"}, {"arc": 1, "side": "upper"}]],
+     f"invariant violation at branched_surface theta (sector 0 cycle 0): {CORE} "
+     "cycle-closed-arc: a closed arc must form a whole boundary cycle"),
+    ("complex", ("fibered_domains", 0, "vertical_annuli", 0, "arcs"), [9],
+     "invariant violation at fibered_domain theta-domain (annulus 0): fibered_domain rule "
+     "dangling arc reference: arc 9 does not exist"),
+    ("complex", ("fibered_domains", 0, "boundary_sectors"), [9],
+     "invariant violation at fibered_domain theta-domain (boundary markers): fibered_domain "
+     "rule dangling sector reference: sector 9 does not exist"),
+    ("theta", ("weights", 0, "entries"), [1, 1, 1],
+     f"invariant violation at weight both: {CORE} switch-equations: "
+     "entries violate a switch equation"),
+    ("theta", ("weights", 0, "entries"), [-1, 1, 0],
+     f"invariant violation at weight both: {CORE} nonnegative-entries: "
+     "entry -1 on sector 0 is negative"),
+    ("theta", ("weights", 0, "entries"), [2, -1, 1],
+     f"invariant violation at weight both: {CORE} nonnegative-entries: "
+     "entry -1 on sector 1 is negative"),
 ])
 def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
     doc = copy.deepcopy(SHIPPED[name])

@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
-from bsurf.lutz import (LutzPlan, RebaseRequired, classify_generators,
+from bsurf.lutz import (LutzPlan, RebaseRequired, _exact_cover, classify_generators,
                         enumerate_structures, plan_for, realize)
 from bsurf.surface import Classification, satisfies_switch, switch_system
 
@@ -149,3 +152,28 @@ def test_round_trip_weight_equality(n1, n2):
     w = realize(LutzPlan("b", (n1, n2), infos), base)
     plan = plan_for(w, base, infos)
     assert realize(plan, base) == w
+
+
+def _brute_force_cover(delta, atoms):
+    """Every count vector that fits, tried; the greatest solution in the
+    atoms' sorted order, as ``_exact_cover`` promises, or None."""
+    order = sorted(range(len(atoms)), key=lambda i: atoms[i])
+    fits = [range(min(d // x for d, x in zip(delta, u) if x) + 1) for u in atoms]
+    solutions = [c for c in itertools.product(*fits)
+                 if all(sum(n * u[j] for n, u in zip(c, atoms)) == d
+                        for j, d in enumerate(delta))]
+    return max(solutions, key=lambda c: [c[i] for i in order], default=None)
+
+
+def test_exact_cover_backtracks_from_the_greedy_count():
+    # the greedy count of the smaller atom leaves a remainder, so it is lowered
+    assert _exact_cover((3,), [(2,), (3,)]) == (0, 1)
+    assert _exact_cover((5, 5), [(2, 2), (3, 3)]) == (1, 1)
+    assert _exact_cover((1,), [(2,), (3,)]) is None
+    rng = random.Random(100)
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        atoms = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        atoms = [u for u in atoms if any(u)] or [(1,) * dim]
+        delta = tuple(rng.randint(0, 9) for _ in range(dim))
+        assert _exact_cover(delta, atoms) == _brute_force_cover(delta, atoms), (delta, atoms)

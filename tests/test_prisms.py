@@ -155,6 +155,18 @@ def test_config_order_interval_containment():
     assert config_order(p, p, dividing) == "equal"
 
 
+def test_prisms_need_a_selection_on_their_tetrahedron():
+    # a document saves prisms under their tetrahedron's selection, so these
+    # prisms on G2 would be lost by a save
+    vf = VerticalFace("F123", (0, 1), (2, 3))
+    with pytest.raises(ValueError, match="^prisms on tetrahedra without a selection: G2$"):
+        PrismConfiguration(selections={"G1": PrismSelection(frozenset({"s1"}))},
+                           prisms={"G2": (Prism("corner:s1", (vf,)),)})
+    ok = PrismConfiguration(selections={"G1": PrismSelection(frozenset({"s1"}))},
+                            prisms={"G1": (Prism("corner:s1", (vf,)),)})
+    assert list(ok.all_prisms()) == [("G1", Prism("corner:s1", (vf,)))]
+
+
 # ---------------------------------------------------------------------------
 # holonomy
 

@@ -45,6 +45,16 @@ def test_validate_dangling_sector_reference():
     assert any(v.rule == "dangling sector reference" for v in report.violations)
 
 
+def test_validate_names_an_arc_with_one_endpoint():
+    # a document's endpoints load as "closed" or a pair, so only a
+    # hand-built arc breaks this rule
+    b = fixtures.theta_surface()
+    arc = dataclasses.replace(b.branch_arcs[0], endpoints=(0,))
+    b = dataclasses.replace(b, branch_arcs=(arc, b.branch_arcs[1]))
+    assert [(v.rule, v.location, v.detail) for v in validate(b).violations] == [
+        ("arc-endpoints", "arc 0", "endpoints must be 'closed' or a pair of triple points")]
+
+
 def test_validate_three_sheet_model():
     b = fixtures.three_sheets_surface()
     assert len(b.sectors) == 3
@@ -206,6 +216,10 @@ def test_fully_carried_iff_min_positive():
     assert not fully_carried(b, (0, 1, 1))
     with pytest.raises(ValueError):
         fully_carried(b, (1, 1, 3))
+    # meets the switch equation, but a negative entry leaves the cone
+    assert switch_violation(b, (-1, 1, 0)) is None
+    with pytest.raises(ValueError):
+        fully_carried(b, (-1, 1, 0))
 
 
 @given(st.integers(1, 6), st.integers(1, 6))

@@ -1,6 +1,7 @@
 """Command-line surface: validate / hilbert / carry / lutz / bypass / prune.
 
-Exit codes: 0 success, 1 input error, 2 validation failure.
+Exit codes: 0 success, 1 input error, 2 validation failure.  Each command
+imports the layers it uses when it runs, so a spawn loads no other layer.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import dividing, domain, hilbert, io, lutz, prisms, surface
-
 OK, INPUT_ERROR, VALIDATION_FAILURE = 0, 1, 2
 
 
@@ -20,7 +19,10 @@ def _write_graph(path: str, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
+    from . import io, surface
     doc = io.load(args.document)
+    if doc.dividing_sets or doc.holonomy or doc.prism_configs:
+        from . import dividing, prisms
     failures = []
     # io.load rejects a document whose surfaces or domains break an invariant
     for name in sorted(doc.surfaces):
@@ -42,7 +44,8 @@ def cmd_validate(args) -> int:
                 if f.verdict != "ok":
                     print(f"  circuit at {f.circuit.vertex}: {f.verdict} ({f.detail})")
                     failures.append(f"holonomy {tid}")
-    verdicts = prisms.admissible_each(doc.prism_configs, doc.dividing_sets)
+    if doc.prism_configs:
+        verdicts = prisms.admissible_each(doc.prism_configs, doc.dividing_sets)
     for name, cfg in sorted(doc.prism_configs.items()):
         problems = prisms.validate_configuration(cfg, doc.dividing_sets)
         report = verdicts[name]
@@ -64,6 +67,7 @@ def cmd_validate(args) -> int:
 
 def _weight(doc, spec: str, surface_name: str):
     """A weight argument: a weight declared in the document, or comma-separated entries."""
+    from . import io
     if spec in doc.weights:
         sname, vec = doc.weights[spec]
         if sname != surface_name:
@@ -78,6 +82,7 @@ def _weight(doc, spec: str, surface_name: str):
 
 
 def _the_surface(doc, name):
+    from . import io
     if name:
         if name not in doc.surfaces:
             raise io.DocumentError("reference error", f"surface {name}", "not declared")
@@ -89,6 +94,7 @@ def _the_surface(doc, name):
 
 
 def cmd_hilbert(args) -> int:
+    from . import hilbert, io, surface
     doc = io.load(args.document)
     name, b = _the_surface(doc, args.surface)
     system = surface.switch_system(b)
@@ -107,6 +113,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_carry(args) -> int:
+    from . import io, surface
     doc = io.load(args.document)
     name, b = _the_surface(doc, args.surface)
     w = _weight(doc, args.weight, name)
@@ -127,6 +134,7 @@ def cmd_carry(args) -> int:
 
 
 def cmd_lutz(args) -> int:
+    from . import hilbert, io, lutz, surface
     doc = io.load(args.document)
     name, b = _the_surface(doc, args.surface)
     system = surface.switch_system(b)
@@ -156,6 +164,7 @@ def cmd_lutz(args) -> int:
 
 
 def _parse_site(spec: str):
+    from . import dividing
     kind, _, rest = spec.partition(":")
     if kind == "strands":
         slots = tuple(int(x) for x in rest.split(","))
@@ -171,6 +180,7 @@ def _parse_site(spec: str):
 
 
 def cmd_bypass(args) -> int:
+    from . import dividing, io
     doc = io.load(args.document)
     if args.face not in doc.dividing_sets:
         raise io.DocumentError("reference error", f"face {args.face}",
@@ -192,6 +202,7 @@ def _cap(spec: str):
     None when that rule rejects a number such as 1.5, 1/0 or 1e1000000.  Text
     that is no number at all raises the ValueError ``Fraction`` gives it; its
     digits are zeroed for that test, so that no exponent is expanded."""
+    from . import domain
     try:
         return domain.exact_angle(spec)
     except (ValueError, ZeroDivisionError):
@@ -205,6 +216,7 @@ def _cap(spec: str):
 
 
 def cmd_prune(args) -> int:
+    from . import domain, io
     doc = io.load(args.document)
     names = [args.ensemble] if args.ensemble else sorted(doc.ensembles)
     if not names:

@@ -288,13 +288,13 @@ def bypass_surgery(d: DividingSet, site, side: Side = Side.POSITIVE) -> Dividing
         return _halfdisk_surgery(d, site)
     strands = _site_strands(d, site)
     _check_square(d, strands)
-    (_, t1, b1), (_, t2, b2), (_, t3, b3) = strands
-    old = {tuple(sorted((t1, b1))), tuple(sorted((t2, b2))), tuple(sorted((t3, b3)))}
+    (a1, t1, b1), (a2, t2, b2), (a3, t3, b3) = strands
     if side is Side.POSITIVE:
         new = [(t1, t2), (b1, t3), (b2, b3)]
     else:
         new = [(b1, b2), (t1, b3), (t2, t3)]
-    arcs = [a for a in d.arcs if tuple(sorted(a)) not in old]
+    # the strand arcs are the stored tuples of d._arc_index, found by identity
+    arcs = [a for a in d.arcs if a is not a1 and a is not a2 and a is not a3]
     arcs.extend(new)
     return DividingSet(face=d.face, arcs=tuple(arcs))
 

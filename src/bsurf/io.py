@@ -6,6 +6,10 @@ keys, keys repeated in one object and duplicate names, resolves
 cross-references and checks module invariants, stopping at the first fault
 with a located ``DocumentError``.  List items are decoded under their
 indexed paths; only lists of scalar lists are type-checked whole first.
+The tables name the classes of ``dividing``, ``domain`` and ``prisms`` as
+``"layer.Class"``; a codec imports its layer the first time it decodes an
+entity, so a document whose face, domain and prism sections are empty loads
+with ``surface`` alone.
 
 Saving is canonical, so round-trips are byte-exact: ``dumps`` writes the
 text of ``json.dumps(value, indent=1, sort_keys=True)``.  It has its own
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from . import dividing, domain, prisms, surface
+from . import surface
 
 FORMAT_VERSION = 1
 
@@ -123,10 +127,11 @@ def _map(item):
 
 def _angle(v, where, path):
     """An exact angle: an int, or a str of the integer or p/q form that ``str`` writes."""
+    from .domain import exact_angle
     if type(v) is not str and type(v) is not int:
         _fail("str or int", v, where, path)
     try:
-        return domain.exact_angle(v)
+        return exact_angle(v)
     except (ValueError, ZeroDivisionError):
         _fail("integer or p/q", v, where, path)
 
@@ -149,11 +154,13 @@ def _angles(memo: dict):
 
 
 def _entity(make, *fields):
-    """An object of fields (key, codec[, default]), built by ``make``; a ValueError
-    it raises is an invariant violation.  Encoding reads attributes or dict items."""
+    """An object of fields (key, codec[, default]), built by ``make``: a callable,
+    or a ``"layer.Class"`` name that the first decode imports.  A ValueError it
+    raises is an invariant violation.  Encoding reads attributes or dict items."""
     fields = {f[0]: (*f[1:], ...)[:2] for f in fields}     # ... marks a required field
 
     def dec(v, where, path):
+        nonlocal make
         if type(v) is not dict:
             _fail("object", v, where, path)
         if not fields.keys() >= v.keys():
@@ -171,6 +178,9 @@ def _entity(make, *fields):
                 elif type(x) is not codec:
                     _fail(codec.__name__, x, where, sub)
             kw[key] = x
+        if make.__class__ is str:
+            layer, name = make.split(".")
+            make = getattr(__import__(f"{__package__}.{layer}", fromlist=[name]), name)
         try:
             return make(**kw)
         except ValueError as exc:
@@ -203,20 +213,20 @@ _SURFACE = _entity(surface.BranchedSurface, ("name", str, ""), ("sectors", _list
                    ("branch_arcs", _list(_BRANCH_ARC), ()),
                    ("triple_points", _list(_TRIPLE_POINT), ()))
 _WEIGHT = _entity(dict, ("name", str), ("surface", str), ("entries", _list(int)))
-_ANNULUS = _entity(domain.VerticalAnnulus, ("index", int), ("arcs", _list(int), ()),
+_ANNULUS = _entity("domain.VerticalAnnulus", ("index", int), ("arcs", _list(int), ()),
                    ("concave", _list(bool, 2), (True, True)))
 _DOMAIN = _entity(dict, ("name", str, ""), ("surface", str),
                   ("vertical_annuli", _list(_ANNULUS), ()),
                   ("boundary_sectors", _list(int, make=frozenset, save=sorted), frozenset()))
 _FACE = _entity(dict, ("face", str), ("edge_slots", _SLOTS), ("oriented_ccw", bool, True))
 _DIVIDING_SET = _entity(dict, ("face", str), ("arcs", _SLOTS))
-_EDGE = _entity(prisms.EdgeData, ("index", int), ("vertices", _list(str, 2)),
+_EDGE = _entity("prisms.EdgeData", ("index", int), ("vertices", _list(str, 2)),
                 ("faces", _list(str, 2)), ("face_edges", _PAIR))
-_TETRAHEDRON = _entity(prisms.Tetrahedron, ("index", str), ("vertices", _list(str)),
+_TETRAHEDRON = _entity("prisms.Tetrahedron", ("index", str), ("vertices", _list(str)),
                        ("faces", _list(str)), ("edges", _list(_EDGE)))
-_CROSSING = _entity(prisms.Crossing, ("edge", int), ("face_from", str), ("face_to", str),
+_CROSSING = _entity("prisms.Crossing", ("edge", int), ("face_from", str), ("face_to", str),
                     ("shift", int))
-_HOLONOMY = _entity(prisms.HolonomyData, ("tet", str), ("crossings", _list(_CROSSING), ()))
+_HOLONOMY = _entity("prisms.HolonomyData", ("tet", str), ("crossings", _list(_CROSSING), ()))
 
 
 def _structures(memo: dict):
@@ -228,14 +238,20 @@ def _structures(memo: dict):
 _STRUCTURES = (lambda v, where, path: _structures({})[0](v, where, path),
                _structures({})[1])
 _ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _STRUCTURES, ()))
-_VERTICAL_FACE = _entity(prisms.VerticalFace, ("face", str), ("bottom", _PAIR), ("top", _PAIR))
-_PRISM = _entity(prisms.Prism, ("kind", str, "corner:?"),
+_VERTICAL_FACE = _entity("prisms.VerticalFace", ("face", str), ("bottom", _PAIR), ("top", _PAIR))
+_PRISM = _entity("prisms.Prism", ("kind", str, "corner:?"),
                  ("vertical_faces", _list(_VERTICAL_FACE), ()))
-# One tetrahedron of a prism configuration: its PrismSelection and its prisms.
+
+
+def _tet_prisms(corners, diagonal, prisms):
+    """One tetrahedron of a prism configuration: its PrismSelection and its prisms."""
+    from .prisms import PrismSelection
+    return PrismSelection(corners, diagonal), prisms
+
+
 _TET_PRISMS = _entity(
-    lambda corners, diagonal, **rest: (prisms.PrismSelection(corners, diagonal), rest["prisms"]),
-    ("corners", _list(str, make=frozenset, save=sorted), frozenset()), ("diagonal", int, None),
-    ("prisms", _list(_PRISM), ()))
+    _tet_prisms, ("corners", _list(str, make=frozenset, save=sorted), frozenset()),
+    ("diagonal", int, None), ("prisms", _list(_PRISM), ()))
 _PRISM_CONFIG = _entity(dict, ("name", str), ("tets", _map(_TET_PRISMS)))
 
 
@@ -320,6 +336,13 @@ def loads(text: str) -> ComplexDocument:
                             f"expected {FORMAT_VERSION}, got {version!r}")
     raw = _DOCUMENT[0](raw, "document", "")
     doc = ComplexDocument(version=version)
+    # a layer is imported only for the non-empty sections that use it
+    if raw["fibered_domains"] or raw["ensembles"]:
+        from . import domain
+    if raw["faces"] or raw["dividing_sets"]:
+        from . import dividing
+    if raw["tetrahedra"] or raw["prism_configurations"]:
+        from . import prisms
 
     for name, (where, b) in raw["branched_surfaces"].items():
         _first_violation(surface.validate(b), where, "branched_surface_core")

@@ -10,10 +10,12 @@ signal that a different (half-twisted) base structure is required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .hilbert import MinimalGenerators
 from .surface import BranchedSurface, Classification, carried_surface
+
+if TYPE_CHECKING:
+    from .hilbert import MinimalGenerators
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,40 @@ def test_square_preserves_slot_count_parity():
         assert len(out.face.edge_slots[e]) == len(d.face.edge_slots[e])
 
 
+def _arcs_by_sorting(d: DividingSet, site: SquareSite, side: Side):
+    """The arcs of a square surgery as ``bypass_surgery`` once built them: it
+    dropped every arc whose sorted slots matched a strand's."""
+    (t1, b1), (t2, b2), (t3, b3) = [(t, a[1] if a[0] == t else a[0])
+                                    for t in site.top_slots for a in [d.arc_of(t)]]
+    old = {tuple(sorted((t1, b1))), tuple(sorted((t2, b2))), tuple(sorted((t3, b3)))}
+    new = ([(t1, t2), (b1, t3), (b2, b3)] if side is Side.POSITIVE
+           else [(b1, b2), (t1, b3), (t2, t3)])
+    return tuple([a for a in d.arcs if tuple(sorted(a)) not in old] + new)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.tuples(*[st.integers(0, 12)] * 3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40), st.booleans(),
+                                st.sampled_from(Side)), min_size=1, max_size=12))
+def test_square_surgery_keeps_the_arc_order(sizes, picks):
+    # consecutive slots along an edge, read either way, on a face that
+    # earlier surgeries have reordered; invalid sites are skipped
+    d = fixtures.stack_face(*sizes)
+    for edge, i, backwards, side in picks:
+        slots = d.face.edge_slots[edge][::-1 if backwards else 1]
+        if len(slots) < 3:
+            continue
+        i %= len(slots) - 2
+        site = SquareSite(top_slots=tuple(slots[i:i + 3]))
+        try:
+            out = bypass_surgery(d, site, side)
+        except ValueError:
+            continue
+        assert out.arcs == _arcs_by_sorting(d, site, side)
+        assert out.face is d.face
+        d = out
+
+
 # ---------------------------------------------------------------------------
 # bypass surgery: boundary half-disks
 

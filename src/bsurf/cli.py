@@ -1,14 +1,14 @@
 """Command-line surface: validate / hilbert / carry / lutz / bypass / prune.
 
-Exit codes: 0 success, 1 input error, 2 validation failure.  Each command
-imports the layers it uses when it runs, so a spawn loads no other layer.
+Exit codes: 0 success, 1 input error, 2 validation failure.  ``main`` loads
+the document once and hands it to the command.  Each command imports the
+layers it uses when it runs, so a spawn loads no other layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 OK, INPUT_ERROR, VALIDATION_FAILURE = 0, 1, 2
@@ -18,9 +18,8 @@ def _write_graph(path: str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_validate(args) -> int:
-    from . import io, surface
-    doc = io.load(args.document)
+def cmd_validate(args, doc) -> int:
+    from . import surface
     if doc.dividing_sets or doc.holonomy or doc.prism_configs:
         from . import dividing, prisms
     failures = []
@@ -93,9 +92,8 @@ def _the_surface(doc, name):
     return next(iter(doc.surfaces.items()))
 
 
-def cmd_hilbert(args) -> int:
-    from . import hilbert, io, surface
-    doc = io.load(args.document)
+def cmd_hilbert(args, doc) -> int:
+    from . import hilbert, surface
     name, b = _the_surface(doc, args.surface)
     system = surface.switch_system(b)
     gens = hilbert.minimal_generators(system)
@@ -112,9 +110,8 @@ def cmd_hilbert(args) -> int:
     return OK
 
 
-def cmd_carry(args) -> int:
-    from . import io, surface
-    doc = io.load(args.document)
+def cmd_carry(args, doc) -> int:
+    from . import surface
     name, b = _the_surface(doc, args.surface)
     w = _weight(doc, args.weight, name)
     carried = surface.carried_surface(b, w)
@@ -133,33 +130,40 @@ def cmd_carry(args) -> int:
     return OK
 
 
-def cmd_lutz(args) -> int:
-    from . import hilbert, io, lutz, surface
-    doc = io.load(args.document)
+def _generators(args, doc):
+    """Print the surface's classified generators; return its name, them and the base."""
+    from . import hilbert, lutz, surface
     name, b = _the_surface(doc, args.surface)
-    system = surface.switch_system(b)
-    gens = hilbert.minimal_generators(system)
-    infos = lutz.classify_generators(b, gens)
+    infos = lutz.classify_generators(b, hilbert.minimal_generators(surface.switch_system(b)))
     for info in infos:
         print(f"generator {info.index} {','.join(str(x) for x in info.weight)}: "
               f"{info.classification.value}")
     base = _weight(doc, args.base, name) if args.base else (0,) * len(b.sectors)
-    if args.action == "plan":
-        target = _weight(doc, args.target, name)
-        try:
-            plan = lutz.plan_for(target, base, infos, base_label=args.base or "zero")
-        except lutz.RebaseRequired as exc:
-            print(f"plan: FAIL ({exc})")
-            return VALIDATION_FAILURE
-        coeffs = ",".join(str(n) for n in plan.coefficients)
-        print(f"plan: coefficients {coeffs} over base {plan.base}")
-        print(f"parity vector: {','.join(str(p) for p in plan.parity_vector)}")
-    else:
-        count = 0
-        for w in lutz.enumerate_structures(infos, base, args.bound):
-            print("  " + ",".join(str(x) for x in w))
-            count += 1
-        print(f"enumerated {count} weights at bound {args.bound}")
+    return name, infos, base
+
+
+def cmd_lutz_plan(args, doc) -> int:
+    from . import lutz
+    name, infos, base = _generators(args, doc)
+    target = _weight(doc, args.target, name)
+    try:
+        plan = lutz.plan_for(target, base, infos, base_label=args.base or "zero")
+    except lutz.RebaseRequired as exc:
+        print(f"plan: FAIL ({exc})")
+        return VALIDATION_FAILURE
+    print(f"plan: coefficients {','.join(str(n) for n in plan.coefficients)} "
+          f"over base {plan.base}")
+    print(f"parity vector: {','.join(str(p) for p in plan.parity_vector)}")
+    return OK
+
+
+def cmd_lutz_enumerate(args, doc) -> int:
+    from . import lutz
+    _, infos, base = _generators(args, doc)
+    count = 0
+    for count, w in enumerate(lutz.enumerate_structures(infos, base, args.bound), 1):
+        print("  " + ",".join(str(x) for x in w))
+    print(f"enumerated {count} weights at bound {args.bound}")
     return OK
 
 
@@ -179,9 +183,8 @@ def _parse_site(spec: str):
     raise ValueError(f"unknown site kind {kind!r}; use strands:... or halfdisk:...")
 
 
-def cmd_bypass(args) -> int:
+def cmd_bypass(args, doc) -> int:
     from . import dividing, io
-    doc = io.load(args.document)
     if args.face not in doc.dividing_sets:
         raise io.DocumentError("reference error", f"face {args.face}",
                                "no dividing set declared")
@@ -197,41 +200,25 @@ def cmd_bypass(args) -> int:
     return OK
 
 
-def _cap(spec: str):
-    """The --cap value read like a document angle (``domain.exact_angle``), or
-    None when that rule rejects a number such as 1.5, 1/0 or 1e1000000.  Text
-    that is no number at all raises the ValueError ``Fraction`` gives it; its
-    digits are zeroed for that test, so that no exponent is expanded."""
-    from . import domain
-    try:
-        return domain.exact_angle(spec)
-    except (ValueError, ZeroDivisionError):
-        try:
-            Fraction("".join("0" if c.isdecimal() else c for c in spec))
-        except ValueError:
-            Fraction(spec)
-        except ZeroDivisionError:
-            pass
-    return None
-
-
-def cmd_prune(args) -> int:
+def cmd_prune(args, doc) -> int:
     from . import domain, io
-    doc = io.load(args.document)
+    if args.ensemble and args.ensemble not in doc.ensembles:
+        raise io.DocumentError("reference error", f"ensemble {args.ensemble}", "not declared")
     names = [args.ensemble] if args.ensemble else sorted(doc.ensembles)
     if not names:
         raise io.DocumentError("reference error", "document", "no ensembles declared")
+    cap = None
+    if args.cap is not None:        # read like a document angle: an integer or p/q
+        try:
+            cap = domain.exact_angle(args.cap)
+        except (ValueError, ZeroDivisionError):
+            print(f"error: argument --cap: expected an integer or p/q, got {args.cap!r}",
+                  file=sys.stderr)
+            return VALIDATION_FAILURE
     for name in names:
-        if name not in doc.ensembles:
-            raise io.DocumentError("reference error", f"ensemble {name}", "not declared")
         dname, structures = doc.ensembles[name]
         fd = doc.domains[dname]
-        if args.cap is not None:
-            cap = _cap(args.cap)
-            if cap is None:
-                print(f"error: argument --cap: expected an integer or p/q, got {args.cap!r}",
-                      file=sys.stderr)
-                return VALIDATION_FAILURE
+        if cap is not None:
             sites = sorted(fd.boundary_sectors)
             for x in structures:
                 for s in sites:
@@ -249,48 +236,58 @@ def cmd_prune(args) -> int:
     return OK
 
 
+def _nonnegative(text: str) -> int:
+    """The type of --bound and --oracle-bound: a nonnegative integer in digits."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:                  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bsurf",
                                 description="Exact branched-surface calculus")
     sub = p.add_subparsers(dest="command", required=True)
+    doc = argparse.ArgumentParser(add_help=False)       # every command reads a document
+    doc.add_argument("document")
 
-    v = sub.add_parser("validate", help="run every validator in the document")
-    v.add_argument("document")
+    v = sub.add_parser("validate", parents=[doc], help="run every validator in the document")
     v.add_argument("--export-graph")
     v.set_defaults(func=cmd_validate)
 
-    h = sub.add_parser("hilbert", help="minimal generators of the switch cone")
-    h.add_argument("document")
+    h = sub.add_parser("hilbert", parents=[doc], help="minimal generators of the switch cone")
     h.add_argument("--surface")
-    h.add_argument("--oracle-bound", type=int)
+    h.add_argument("--oracle-bound", type=_nonnegative)
     h.set_defaults(func=cmd_hilbert)
 
-    c = sub.add_parser("carry", help="carried surface report for a weight")
-    c.add_argument("document")
+    c = sub.add_parser("carry", parents=[doc], help="carried surface report for a weight")
     c.add_argument("--surface")
     c.add_argument("--weight", required=True)
     c.add_argument("--export-graph")
     c.set_defaults(func=cmd_carry)
 
-    l = sub.add_parser("lutz", help="twisting plans and enumeration")
-    l.add_argument("action", choices=("plan", "enumerate"))
-    l.add_argument("document")
-    l.add_argument("--surface")
-    l.add_argument("--base")
-    l.add_argument("--target")
-    l.add_argument("--bound", type=int, default=0)
-    l.set_defaults(func=cmd_lutz)
+    lutz = sub.add_parser("lutz", help="twisting plans and enumeration")
+    actions = lutz.add_subparsers(dest="action", required=True)
+    lp = actions.add_parser("plan", parents=[doc], help="a target over the generators")
+    le = actions.add_parser("enumerate", parents=[doc], help="weights up to a bound")
+    for a in (lp, le):
+        a.add_argument("--surface")
+        a.add_argument("--base")
+    lp.add_argument("--target", required=True)
+    lp.set_defaults(func=cmd_lutz_plan)
+    le.add_argument("--bound", type=_nonnegative, default=0)
+    le.set_defaults(func=cmd_lutz_enumerate)
 
-    bp = sub.add_parser("bypass", help="bypass surgery on a face")
-    bp.add_argument("document")
+    bp = sub.add_parser("bypass", parents=[doc], help="bypass surgery on a face")
     bp.add_argument("--face", required=True)
     bp.add_argument("--site", required=True,
                     help="strands:t1,t2,t3 or halfdisk:a,b")
     bp.add_argument("--side", choices=("pos", "neg"), default="pos")
     bp.set_defaults(func=cmd_bypass)
 
-    pr = sub.add_parser("prune", help="prune ensembles to boundaryless quotients")
-    pr.add_argument("document")
+    pr = sub.add_parser("prune", parents=[doc], help="prune ensembles to boundaryless quotients")
     pr.add_argument("--ensemble")
     pr.add_argument("--cap")
     pr.set_defaults(func=cmd_prune)
@@ -305,8 +302,9 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    from . import io
     try:
-        return args.func(args)
+        return args.func(args, io.load(args.document))
     except (OSError, ValueError, KeyError) as exc:    # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

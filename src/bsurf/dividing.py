@@ -29,6 +29,8 @@ class FaceModel:
     oriented_ccw: bool = True
 
     def __post_init__(self):
+        if len(self.edge_slots) != 3:
+            raise ValueError("three edges required")
         slots = self.slots
         if len(set(slots)) == len(slots):
             return
@@ -75,11 +77,37 @@ class FaceModel:
         return {s: p for s, (_, _, p) in self._slot_index.items()}
 
 
-def _between(a: int, b: int, x: int) -> bool:
-    """x strictly between a and b going forward in the cyclic order."""
-    if a < b:
-        return a < x < b
-    return x > a or x < b
+def _first_crossing(arcs, slots):
+    """The first pair of crossing arcs in ``itertools.combinations`` order.
+
+    Cut the cyclic order open at the first slot.  An arc whose ends sit at
+    ranks i < j crosses some arc iff a slot strictly between them is matched
+    outside [i, j]: one range-min and one range-max query over the partner
+    ranks, answered by sparse tables in O(n log n) (Bender and Farach-Colton,
+    LATIN 2000).  The first arc that crosses any arc can only cross later
+    ones, so it and its first crossing partner are the first such pair.
+    """
+    rank = {s: i for i, s in enumerate(slots)}
+    partner = [0] * len(slots)
+    for a, b in arcs:
+        partner[rank[a]], partner[rank[b]] = rank[b], rank[a]
+    lows, highs, k = [partner], [partner], 1     # level t holds windows of 2**t
+    while 2 * k <= len(partner):
+        lo, hi = lows[-1], highs[-1]
+        lows.append([x if x < y else y for x, y in zip(lo, lo[k:])])
+        highs.append([x if x > y else y for x, y in zip(hi, hi[k:])])
+        k *= 2
+    for n, (a, b) in enumerate(arcs):
+        i, j = sorted((rank[a], rank[b]))
+        if j - i < 2:
+            continue
+        t = (j - i - 1).bit_length() - 1
+        last = j - (1 << t)                  # the window [last, j - 1] ends at j - 1
+        if (min(lows[t][i + 1], lows[t][last]) < i
+                or max(highs[t][i + 1], highs[t][last]) > j):
+            for c, d in arcs[n + 1:]:
+                if (i < rank[c] < j) != (i < rank[d] < j):
+                    return (a, b), (c, d)
 
 
 @dataclass(frozen=True)
@@ -108,17 +136,9 @@ class DividingSet:
                 open_arcs.pop()
             else:
                 open_arcs.append(arc)
-        if not open_arcs:
-            return
-        # Name the first crossing pair in arc order.
-        pos = self.face.positions()
-        for (a, b), (c, d) in itertools.combinations(self.arcs, 2):
-            pa, pb = pos[a], pos[b]
-            inside_c = _between(pa, pb, pos[c])
-            inside_d = _between(pa, pb, pos[d])
-            if inside_c != inside_d:
-                raise ValueError(
-                    f"non-planar dividing set: arcs {(a, b)} and {(c, d)} cross")
+        if open_arcs:
+            first, second = _first_crossing(self.arcs, slots)
+            raise ValueError(f"non-planar dividing set: arcs {first} and {second} cross")
 
     @cached_property
     def _arc_index(self) -> dict[int, tuple[int, int]]:

@@ -372,14 +372,12 @@ def loads(text: str) -> ComplexDocument:
         doc.domains[name] = fd
 
     for fid, (where, f) in raw["faces"].items():
-        if len(f["edge_slots"]) != 3:
-            raise DocumentError("invariant violation", where,
-                                "dividing_set_calculus rule hexagon-edges: three edges required")
         try:
             doc.faces[fid] = dividing.FaceModel(**f)
         except ValueError as exc:
+            rule = "hexagon-edges" if len(f["edge_slots"]) != 3 else "slot-order"
             raise DocumentError("invariant violation", where,
-                                f"dividing_set_calculus rule slot-order: {exc}")
+                                f"dividing_set_calculus rule {rule}: {exc}")
 
     for fid, (where, d) in raw["dividing_sets"].items():
         face = _ref(doc.faces, fid, where, "face")
@@ -408,11 +406,15 @@ def loads(text: str) -> ComplexDocument:
         for i, sd in enumerate(e["structures"]):
             label = f"{name}[{i}]" if sd["label"] is None else sd["label"]
             try:
-                structures.append(domain.AdjustedStructure(
-                    domain=fd, angle=domain.AngleFunction(sd["angles"]), label=label))
+                angle = domain.AngleFunction(sd["angles"])
             except ValueError as exc:
                 raise DocumentError("invariant violation", f"structure {label}",
                                     f"fibered_domain rule positive-angles: {exc}")
+            try:
+                structures.append(domain.AdjustedStructure(domain=fd, angle=angle, label=label))
+            except ValueError as exc:
+                raise DocumentError("invariant violation", f"structure {label}",
+                                    f"fibered_domain rule angle-count: {exc}")
         fault = domain.first_incoherent(structures)
         if fault is not None:
             raise DocumentError("invariant violation",

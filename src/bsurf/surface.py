@@ -169,9 +169,13 @@ def validate(b: BranchedSurface) -> ValidationReport:
                     if t not in tp_ids:
                         bad.append(Violation("dangling triple-point reference",
                                              f"arc {arc.index}", f"triple point {t} does not exist"))
+    arcs_at: dict = {}                      # triple point -> the arcs that end there
+    for arc in b.branch_arcs:
+        if not arc.is_closed and isinstance(arc.endpoints, (tuple, list)):
+            for t in arc.endpoints:
+                arcs_at.setdefault(t, set()).add(arc.index)
     for tp in b.triple_points:
-        incident = {a.index for a in b.branch_arcs
-                    if not a.is_closed and tp.index in a.endpoints}
+        incident = arcs_at.get(tp.index, set())
         if set(tp.arcs) != incident or len(set(tp.arcs)) != 2:
             bad.append(Violation("triple-point-arcs", f"triple point {tp.index}",
                                  f"must be an endpoint of exactly two distinct arcs, got {sorted(incident)}"))

@@ -55,6 +55,15 @@ def test_the_first_slot_declared_twice_is_named():
     assert str(exc.value) == "slot 1 declared twice on face F"
 
 
+@pytest.mark.parametrize("edge_slots", [(), ((0, 1),), ((0, 1), (2, 3)),
+                                        ((0, 1), (2, 3), (), (4, 5))],
+                         ids=["none", "one", "two", "four"])
+def test_a_face_has_three_edges(edge_slots):
+    with pytest.raises(ValueError) as exc:
+        FaceModel(face="X", edge_slots=edge_slots)
+    assert str(exc.value) == "three edges required"
+
+
 @pytest.mark.parametrize("arcs, message", [
     (((0, 5), (1, 1), (2, 3)), "malformed arc (1, 1)"),
     (((0, 5), (1, 2, 3), (4, 4)), "malformed arc (1, 2, 3)"),

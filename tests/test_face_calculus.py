@@ -36,6 +36,13 @@ def oracle_arc_of(d: DividingSet, slot):
     raise KeyError(f"slot {slot} is not matched")
 
 
+def _between(a: int, b: int, x: int) -> bool:
+    """x strictly between a and b going forward in the cyclic order."""
+    if a < b:
+        return a < x < b
+    return x > a or x < b
+
+
 def oracle_crossing_message(f: FaceModel, arcs):
     """The message DividingSet raises for these arcs, or None if it accepts."""
     used = []
@@ -48,7 +55,7 @@ def oracle_crossing_message(f: FaceModel, arcs):
     pos = oracle_positions(f)
     for (a, b), (c, d) in itertools.combinations(arcs, 2):
         pa, pb = pos[a], pos[b]
-        if dividing._between(pa, pb, pos[c]) != dividing._between(pa, pb, pos[d]):
+        if _between(pa, pb, pos[c]) != _between(pa, pb, pos[d]):
             return f"non-planar dividing set: arcs {(a, b)} and {(c, d)} cross"
     return None
 
@@ -264,8 +271,8 @@ def oracle_random_noncrossing_face(rng: random.Random, max_arcs: int = 8,
 
 
 def _separates(chord: tuple[int, int], x: int, y: int, pos) -> bool:
-    inside_x = dividing._between(pos[chord[0]], pos[chord[1]], pos[x])
-    inside_y = dividing._between(pos[chord[0]], pos[chord[1]], pos[y])
+    inside_x = _between(pos[chord[0]], pos[chord[1]], pos[x])
+    inside_y = _between(pos[chord[0]], pos[chord[1]], pos[y])
     return inside_x != inside_y
 
 
@@ -452,6 +459,45 @@ def test_crossing_check_matches_pairwise_oracle(rng, max_arcs, planar):
         with pytest.raises(ValueError) as exc:
             DividingSet(face=fm, arcs=arcs)
         assert str(exc.value) == want
+
+
+def _rematched(rng: random.Random, arcs, k: int):
+    """The arcs with the ends of k of them matched again at random."""
+    arcs = list(arcs)
+    picked = rng.sample(range(len(arcs)), min(k, len(arcs)))
+    ends = [s for i in picked for s in arcs[i]]
+    rng.shuffle(ends)
+    for n, i in enumerate(picked):
+        arcs[i] = (ends[2 * n], ends[2 * n + 1])
+    return tuple(arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 2000), st.integers(1, 4))
+def test_crossing_pair_matches_pairwise_oracle_up_to_2000_arcs(rng, max_arcs, k):
+    fm = _random_face(rng, max_arcs)
+    arcs = _rematched(rng, _noncrossing_arcs(rng, fm.slots), k)
+    want = oracle_crossing_message(fm, arcs)
+    if want is None:
+        DividingSet(face=fm, arcs=arcs)
+    else:
+        with pytest.raises(ValueError) as exc:
+            DividingSet(face=fm, arcs=arcs)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("n", [6, 600, 30_000])
+def test_the_last_two_arcs_crossed_are_named(n):
+    """Stacks whose last two arcs cross: the pair is the last in arc order,
+    where the pairwise search is slowest."""
+    d = fixtures.stack_face(n // 3, n // 3, n // 3)
+    (a, b), (c, e) = d.arcs[-2:]
+    arcs = d.arcs[:-2] + ((a, e), (c, b))
+    with pytest.raises(ValueError) as exc:
+        DividingSet(face=d.face, arcs=arcs)
+    assert str(exc.value) == f"non-planar dividing set: arcs {(a, e)} and {(c, b)} cross"
+    if n <= 600:
+        assert str(exc.value) == oracle_crossing_message(d.face, arcs)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bsurf import cli, domain, fixtures, hilbert, io, prisms, surface
+from bsurf import cli, dividing, domain, fixtures, hilbert, io, prisms, surface
 from tests.test_domain import _fraction_check_adjacency, _outcome, exact_ensembles
 from tests.test_surface import _reference_carried_surface
 
@@ -243,17 +243,23 @@ def test_cli_prune_cap_failure_is_validation_exit(capsys):
                    "on boundary sector 0, cap 3/2)\n")
 
 
-@pytest.mark.parametrize("cap", ["1.5", "1e1000000", "1/0", " 3/2", "1_0"])
+@pytest.mark.parametrize("cap", ["1.5", "1e1000000", "1/0", " 3/2", "1_0", "abc", "", "a1"])
 def test_cli_prune_cap_outside_the_angle_forms_is_a_located_validation_exit(capsys, cap):
     assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", cap]) == 2
     assert capsys.readouterr() == (
         "", f"error: argument --cap: expected an integer or p/q, got {cap!r}\n")
 
 
-@pytest.mark.parametrize("cap", ["abc", "", "a1"])
-def test_cli_prune_cap_that_is_no_number_is_an_input_error(capsys, cap):
-    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", cap]) == 1
-    assert capsys.readouterr() == ("", f"error: Invalid literal for Fraction: {cap!r}\n")
+def test_cli_prune_reads_the_cap_once(monkeypatch, capsys):
+    doc = io.load(DOCS / "complex.json")
+    doc.ensembles["second"] = doc.ensembles["pipeline"]
+    monkeypatch.setattr(io, "load", lambda path: doc)
+    read = []
+    real = domain.exact_angle
+    monkeypatch.setattr(domain, "exact_angle", lambda v: read.append(v) or real(v))
+    assert cli.main(["prune", "complex.json", "--cap", "100"]) == 0
+    assert read == ["100"]
+    assert capsys.readouterr().out.count("terminal classes") == 2
 
 
 def test_cli_prune_passing_cap_prints_the_same(capsys):
@@ -290,6 +296,100 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
         cli.main(["no-such-command"])
     assert cli.main(["validate", str(DOCS / "theta.json")]) == 0
     assert len(built) == 1
+
+
+def _bad_face_document(tmp_path) -> str:
+    """A face with no slots: its dividing set has no arcs, so tb = 0."""
+    d = dividing.DividingSet(face=dividing.FaceModel("E", ((), (), ())), arcs=())
+    path = tmp_path / "empty_face.json"
+    io.save(io.ComplexDocument(faces={"E": d.face}, dividing_sets={"E": d}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("args, code, out, err", [
+    ("carry documents/theta.json --surface theta-twisted --weight u1", 1, "",
+     "error: reference error at weight u1: weight belongs to surface theta, not theta-twisted\n"),
+    ("carry documents/theta.json --surface theta --weight a,b", 1, "",
+     "error: reference error at weight a,b: not a named weight or a comma-separated "
+     "integer vector\n"),
+    ("carry documents/theta.json --surface nope --weight 1,1,2", 1, "",
+     "error: reference error at surface nope: not declared\n"),
+    ("carry documents/theta.json --weight 1,1,2", 1, "",
+     "error: reference error at document: several surfaces declared; pass --surface\n"),
+    ("carry documents/complex.json --weight 1,1,2", 0,
+     "surface theta weight 1,1,2: 2 components, chi 0, fully carried: True\n"
+     "  component 0: chi 0, orientable, torus\n"
+     "  component 1: chi 0, orientable, torus\n", ""),
+    ("bypass documents/complex.json --face F123 --site strands:1,3", 1, "",
+     "error: strands site needs three top slots\n"),
+    ("bypass documents/complex.json --face F123 --site halfdisk:1", 1, "",
+     "error: halfdisk site needs the two slots of the arc\n"),
+    ("bypass documents/complex.json --face F123 --site loop:1,2", 1, "",
+     "error: unknown site kind 'loop'; use strands:... or halfdisk:...\n"),
+    ("bypass documents/complex.json --face F999 --site strands:1,3,6", 1, "",
+     "error: reference error at face F999: no dividing set declared\n"),
+    ("prune documents/theta.json", 1, "", "error: reference error at document: "
+     "no ensembles declared\n"),
+    ("prune documents/complex.json --ensemble nope", 1, "",
+     "error: reference error at ensemble nope: not declared\n"),
+    ("hilbert documents/theta.json --surface theta --oracle-bound 0", 2,
+     "surface theta: 2 minimal generators\n  0,1,1\n  1,0,1\n"
+     "oracle check at bound 0: FAIL\n", ""),
+    ("validate EMPTY_FACE", 2, "tb_triangulation: FAIL (face E: tb(boundary) = 0 > -1)\n", ""),
+], ids=["weight-of-another-surface", "weight-not-integers", "undeclared-surface",
+        "several-surfaces", "the-one-surface", "strands-site-of-two", "halfdisk-site-of-one",
+        "unknown-site-kind", "undeclared-face", "no-ensembles", "undeclared-ensemble",
+        "oracle-bound-zero", "face-without-arcs"])
+def test_cli_reports_each_fault_on_its_own_path(monkeypatch, tmp_path, capsys,
+                                                args, code, out, err):
+    if "EMPTY_FACE" in args:
+        args = args.replace("EMPTY_FACE", _bad_face_document(tmp_path))
+    monkeypatch.chdir(DOCS.parent)
+    assert (cli.main(shlex.split(args)), *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("args, err", [
+    ("lutz plan documents/theta.json --surface theta",
+     "usage: bsurf lutz plan [-h] [--surface SURFACE] [--base BASE] --target TARGET\n"
+     "                       document\n"
+     "bsurf lutz plan: error: the following arguments are required: --target\n"),
+    ("lutz plan documents/theta.json --surface theta --target 1,1,2 --bound 2",
+     "usage: bsurf [-h] {validate,hilbert,carry,lutz,bypass,prune} ...\n"
+     "bsurf: error: unrecognized arguments: --bound 2\n"),
+    ("lutz enumerate documents/theta.json --surface theta --target 1,1,2",
+     "usage: bsurf [-h] {validate,hilbert,carry,lutz,bypass,prune} ...\n"
+     "bsurf: error: unrecognized arguments: --target 1,1,2\n"),
+    ("lutz enumerate documents/theta.json --surface theta --bound -1",
+     "usage: bsurf lutz enumerate [-h] [--surface SURFACE] [--base BASE]\n"
+     "                            [--bound BOUND]\n"
+     "                            document\n"
+     "bsurf lutz enumerate: error: argument --bound: expected a nonnegative integer, "
+     "got '-1'\n"),
+    ("hilbert documents/theta.json --surface theta --oracle-bound -1",
+     "usage: bsurf hilbert [-h] [--surface SURFACE] [--oracle-bound ORACLE_BOUND]\n"
+     "                     document\n"
+     "bsurf hilbert: error: argument --oracle-bound: expected a nonnegative integer, "
+     "got '-1'\n"),
+    ("hilbert documents/theta.json --surface theta --oracle-bound 1.5",
+     "usage: bsurf hilbert [-h] [--surface SURFACE] [--oracle-bound ORACLE_BOUND]\n"
+     "                     document\n"
+     "bsurf hilbert: error: argument --oracle-bound: expected a nonnegative integer, "
+     "got '1.5'\n"),
+    ("lutz enumerate documents/theta.json --surface theta --bound " + "9" * 5000,
+     "usage: bsurf lutz enumerate [-h] [--surface SURFACE] [--base BASE]\n"
+     "                            [--bound BOUND]\n"
+     "                            document\n"
+     "bsurf lutz enumerate: error: argument --bound: expected a nonnegative integer, "
+     f"got '{'9' * 5000}'\n"),
+], ids=["plan-without-target", "plan-with-bound", "enumerate-with-target",
+        "negative-bound", "negative-oracle-bound", "fractional-oracle-bound",
+        "bound-past-the-int-digit-limit"])
+def test_cli_flag_errors_exit_2_before_any_output(monkeypatch, capsys, args, err):
+    monkeypatch.setenv("COLUMNS", "80")            # argparse wraps usage to the terminal
+    monkeypatch.chdir(DOCS.parent)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(shlex.split(args))
+    assert (exc.value.code, *capsys.readouterr()) == (2, "", err)
 
 
 def test_cli_missing_file_is_input_error(capsys):
@@ -577,6 +677,18 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
     ("theta", ("weights", 0, "entries"), [2, -1, 1],
      f"invariant violation at weight both: {CORE} nonnegative-entries: "
      "entry -1 on sector 1 is negative"),
+    ("complex", ANGLES, [1, 1],
+     "invariant violation at structure base: fibered_domain rule angle-count: "
+     "angle table length must match the sector count"),
+    ("complex", ANGLES, [0, 1],
+     "invariant violation at structure base: fibered_domain rule positive-angles: "
+     "angle on sector 0 must be positive, got 0"),
+    ("complex", ("faces", 0, "edge_slots"), [[0, 0], [2, 3], [4], [5]],
+     "invariant violation at face F123: dividing_set_calculus rule hexagon-edges: "
+     "three edges required"),
+    ("complex", ("faces", 0, "edge_slots"), [[0, 0], [2, 3], [4]],
+     "invariant violation at face F123: dividing_set_calculus rule slot-order: "
+     "slot 0 declared twice on face F123"),
 ])
 def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
     doc = copy.deepcopy(SHIPPED[name])

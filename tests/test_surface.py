@@ -16,7 +16,8 @@ from bsurf.surface import (BranchArc, BranchedSurface, CarriedSurface, Classific
                            Component, CycleRef, Sector, Side, TriplePoint, _find,
                            _sector_refs, adjacency_graph, carried_adjacency_graph,
                            carried_surface, classify, fully_carried, klein_double,
-                           satisfies_switch, switch_system, switch_violation, validate)
+                           Violation, satisfies_switch, switch_system, switch_violation,
+                           validate)
 
 
 def combine(basis, coeffs):
@@ -92,6 +93,125 @@ def test_validate_corner_mismatch():
     report = validate(two_vertex_wedge(consistent=False))
     assert not report.ok
     assert any(v.rule == "corner-mismatch" for v in report.violations)
+
+
+def _reference_validate(b: BranchedSurface) -> tuple[Violation, ...]:
+    """``validate`` as it was before it mapped triple points to their arcs
+    once: the triple-point-arcs rule scans every arc for every point."""
+    bad: list[Violation] = []
+    nsec = len(b.sectors)
+    arc_ids = {a.index for a in b.branch_arcs}
+    tp_ids = {t.index for t in b.triple_points}
+
+    for i, sec in enumerate(b.sectors):
+        if sec.index != i:
+            bad.append(Violation("sector-index", f"sector {sec.index}", f"expected index {i}"))
+    for i, arc in enumerate(b.branch_arcs):
+        if arc.index != i:
+            bad.append(Violation("arc-index", f"arc {arc.index}", f"expected index {i}"))
+        for role, s in (("merged", arc.merged_sector), ("upper", arc.upper_sector),
+                        ("lower", arc.lower_sector)):
+            if not 0 <= s < nsec:
+                bad.append(Violation("dangling sector reference", f"arc {arc.index}",
+                                     f"{role} sector {s} does not exist"))
+        if not arc.is_closed:
+            if (not isinstance(arc.endpoints, (tuple, list))) or len(arc.endpoints) != 2:
+                bad.append(Violation("arc-endpoints", f"arc {arc.index}",
+                                     "endpoints must be 'closed' or a pair of triple points"))
+            else:
+                for t in arc.endpoints:
+                    if t not in tp_ids:
+                        bad.append(Violation("dangling triple-point reference",
+                                             f"arc {arc.index}", f"triple point {t} does not exist"))
+    for tp in b.triple_points:
+        incident = {a.index for a in b.branch_arcs
+                    if not a.is_closed and tp.index in a.endpoints}
+        if set(tp.arcs) != incident or len(set(tp.arcs)) != 2:
+            bad.append(Violation("triple-point-arcs", f"triple point {tp.index}",
+                                 f"must be an endpoint of exactly two distinct arcs, got {sorted(incident)}"))
+
+    refs = _sector_refs(b)
+    for sec in b.sectors:
+        for ci, cycle in enumerate(sec.boundary_cycles):
+            for pos, ref in enumerate(cycle):
+                if ref.arc not in arc_ids:
+                    bad.append(Violation("dangling arc reference",
+                                         f"sector {sec.index} cycle {ci}",
+                                         f"arc {ref.arc} does not exist"))
+    if not bad:
+        for arc in b.branch_arcs:
+            for side, owner in ((Side.MERGED, arc.merged_sector),
+                                (Side.UPPER, arc.upper_sector),
+                                (Side.LOWER, arc.lower_sector)):
+                users = refs.get((arc.index, side), [])
+                if len(users) != 1:
+                    bad.append(Violation("arc-side-coverage", f"arc {arc.index} {side.value}",
+                                         f"expected exactly one boundary edge, got {len(users)}"))
+                elif users[0][0] != owner:
+                    bad.append(Violation("arc-side-owner", f"arc {arc.index} {side.value}",
+                                         f"occupied by sector {users[0][0]}, declared {owner}"))
+        for sec in b.sectors:
+            for ci, cycle in enumerate(sec.boundary_cycles):
+                closed_refs = [r for r in cycle if b.branch_arcs[r.arc].is_closed]
+                if closed_refs and len(cycle) != 1:
+                    bad.append(Violation("cycle-closed-arc", f"sector {sec.index} cycle {ci}",
+                                         "a closed arc must form a whole boundary cycle"))
+                    continue
+                if closed_refs:
+                    continue
+                for pos, ref in enumerate(cycle):
+                    nxt = cycle[(pos + 1) % len(cycle)]
+                    a, an = b.branch_arcs[ref.arc], b.branch_arcs[nxt.arc]
+                    leave = a.endpoint(1 if ref.along == 1 else 0)
+                    enter = an.endpoint(0 if nxt.along == 1 else 1)
+                    if leave != enter:
+                        bad.append(Violation("corner-mismatch",
+                                             f"sector {sec.index} cycle {ci} position {pos}",
+                                             f"arc {ref.arc} ends at {leave}, arc {nxt.arc} starts at {enter}"))
+    return tuple(bad)
+
+
+def _broken_at_triple_points(rng: random.Random, b: BranchedSurface) -> BranchedSurface:
+    """b with up to four faults drawn at its triple points and arc ends:
+    wrong, repeated or missing point arcs, arcs closed or ending at missing,
+    repeated or too many points, points removed or added."""
+    arcs, tps = list(b.branch_arcs), list(b.triple_points)
+    n = len(tps) + 1
+    for _ in range(rng.randrange(5)):
+        roll = rng.random()
+        if roll < 0.3 and tps:
+            i = rng.randrange(len(tps))
+            tps[i] = TriplePoint(tps[i].index, tuple(rng.randrange(len(arcs) + 1)
+                                                    for _ in range(rng.choice((1, 2, 2, 3)))))
+        elif roll < 0.6 and arcs:
+            i = rng.randrange(len(arcs))
+            ends = rng.choice(("closed", tuple(rng.randrange(n) for _ in range(rng.randrange(1, 4))),
+                               [rng.randrange(n)] * 2))
+            arcs[i] = dataclasses.replace(arcs[i], endpoints=ends)
+        elif roll < 0.8 and tps:
+            tps.pop(rng.randrange(len(tps)))
+        else:
+            tps.append(TriplePoint(rng.randrange(n + 1), (rng.randrange(len(arcs) + 1),
+                                                          rng.randrange(len(arcs) + 1))))
+    return dataclasses.replace(b, branch_arcs=tuple(arcs), triple_points=tuple(tps))
+
+
+def _violations(f, b):
+    try:
+        return f(b)
+    except Exception as exc:                     # both must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4))
+def test_validate_matches_the_per_point_scan(rng, kind):
+    b = [fixtures.random_branched_surface, _crossed_loops, _self_incident,
+         lambda r: _polygon_wedge(r, r.randrange(1, 40), mixed=True),
+         lambda r: _polygon_wedge(r, r.randrange(1, 40))][kind](rng)
+    if rng.random() < 0.7:
+        b = _broken_at_triple_points(rng, b)
+    assert _violations(lambda x: validate(x).violations, b) == _violations(_reference_validate, b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from bsurf import io, lutz
+from bsurf.cli import _nonnegative
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import carried_surface, switch_system
 
@@ -47,7 +48,7 @@ def census(doc: io.ComplexDocument, bound: int) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("document")
-    ap.add_argument("--bound", type=int, default=2)
+    ap.add_argument("--bound", type=_nonnegative, default=2)
     args = ap.parse_args()
     census(io.load(args.document), args.bound)
     return 0

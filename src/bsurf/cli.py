@@ -65,8 +65,9 @@ def cmd_validate(args, doc) -> int:
 
 
 def _weight(doc, spec: str, surface_name: str):
-    """A weight argument: a weight declared in the document, or comma-separated entries."""
-    from . import io
+    """A weight argument: a weight declared in the document, or comma-separated
+    entries (none for the empty string) that meet the rule of document weights."""
+    from . import io, surface
     if spec in doc.weights:
         sname, vec = doc.weights[spec]
         if sname != surface_name:
@@ -74,10 +75,13 @@ def _weight(doc, spec: str, surface_name: str):
                                    f"weight belongs to surface {sname}, not {surface_name}")
         return vec
     try:
-        return tuple(int(x) for x in spec.split(","))
+        vec = tuple(int(x) for x in spec.split(",")) if spec else ()
     except ValueError:
         raise io.DocumentError("reference error", f"weight {spec}",
                                "not a named weight or a comma-separated integer vector")
+    if (fault := surface.weight_fault(doc.surfaces[surface_name], vec)) is not None:
+        raise io.DocumentError("invariant violation", f"weight {spec}", fault)
+    return vec
 
 
 def _the_surface(doc, name):
@@ -130,22 +134,22 @@ def cmd_carry(args, doc) -> int:
     return OK
 
 
-def _generators(args, doc):
-    """Print the surface's classified generators; return its name, them and the base."""
+def _generators(b):
+    """Print the classified generators of a surface and return them."""
     from . import hilbert, lutz, surface
-    name, b = _the_surface(doc, args.surface)
     infos = lutz.classify_generators(b, hilbert.minimal_generators(surface.switch_system(b)))
     for info in infos:
         print(f"generator {info.index} {','.join(str(x) for x in info.weight)}: "
               f"{info.classification.value}")
-    base = _weight(doc, args.base, name) if args.base else (0,) * len(b.sectors)
-    return name, infos, base
+    return infos
 
 
 def cmd_lutz_plan(args, doc) -> int:
     from . import lutz
-    name, infos, base = _generators(args, doc)
+    name, b = _the_surface(doc, args.surface)
+    base = (0,) * len(b.sectors) if args.base is None else _weight(doc, args.base, name)
     target = _weight(doc, args.target, name)
+    infos = _generators(b)
     try:
         plan = lutz.plan_for(target, base, infos, base_label=args.base or "zero")
     except lutz.RebaseRequired as exc:
@@ -159,28 +163,32 @@ def cmd_lutz_plan(args, doc) -> int:
 
 def cmd_lutz_enumerate(args, doc) -> int:
     from . import lutz
-    _, infos, base = _generators(args, doc)
+    name, b = _the_surface(doc, args.surface)
+    base = (0,) * len(b.sectors) if args.base is None else _weight(doc, args.base, name)
     count = 0
-    for count, w in enumerate(lutz.enumerate_structures(infos, base, args.bound), 1):
+    for count, w in enumerate(lutz.enumerate_structures(_generators(b), base, args.bound), 1):
         print("  " + ",".join(str(x) for x in w))
     print(f"enumerated {count} weights at bound {args.bound}")
     return OK
 
 
 def _parse_site(spec: str):
-    from . import dividing
+    from . import dividing, io
     kind, _, rest = spec.partition(":")
-    if kind == "strands":
+    if kind not in ("strands", "halfdisk"):
+        raise ValueError(f"unknown site kind {kind!r}; use strands:... or halfdisk:...")
+    try:
         slots = tuple(int(x) for x in rest.split(","))
+    except ValueError:
+        raise io.DocumentError("reference error", f"site {spec}",
+                               "slots must be comma-separated integers")
+    if kind == "strands":
         if len(slots) != 3:
             raise ValueError("strands site needs three top slots")
         return dividing.SquareSite(top_slots=slots)
-    if kind == "halfdisk":
-        slots = tuple(int(x) for x in rest.split(","))
-        if len(slots) != 2:
-            raise ValueError("halfdisk site needs the two slots of the arc")
-        return dividing.HalfDiskSite(arc=slots)
-    raise ValueError(f"unknown site kind {kind!r}; use strands:... or halfdisk:...")
+    if len(slots) != 2:
+        raise ValueError("halfdisk site needs the two slots of the arc")
+    return dividing.HalfDiskSite(arc=slots)
 
 
 def cmd_bypass(args, doc) -> int:
@@ -191,7 +199,10 @@ def cmd_bypass(args, doc) -> int:
     d = doc.dividing_sets[args.face]
     site = _parse_site(args.site)
     side = dividing.Side.POSITIVE if args.side == "pos" else dividing.Side.NEGATIVE
-    result = dividing.bypass_surgery(d, site, side)
+    try:
+        result = dividing.bypass_surgery(d, site, side)
+    except KeyError as exc:                 # a slot that no arc of the face matches
+        raise io.DocumentError("reference error", f"site {args.site}", exc.args[0])
     print(f"face {args.face}: {len(d.arcs)} arcs -> {len(result.arcs)} arcs")
     for arc in result.normal_form():
         print(f"  {arc[0]},{arc[1]}")

@@ -73,9 +73,6 @@ class FaceModel:
             items.append(("corner", e))
         return tuple(items)
 
-    def positions(self) -> dict[int, int]:
-        return {s: p for s, (_, _, p) in self._slot_index.items()}
-
 
 def _first_crossing(arcs, slots):
     """The first pair of crossing arcs in ``itertools.combinations`` order.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -398,28 +398,49 @@ class NotGeneratedError(ValueError):
     """Raised when a vector is not an N-combination of the given basis."""
 
 
-def decompose(w: Sequence[int], g: MinimalGenerators) -> Decomposition:
-    """Greedy subtraction: as many copies of each generator as fit, in basis order.
+def n_combination(w: Sequence[int], atoms: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """Nonnegative integer counts of the atoms summing to w, or None.
 
-    Subtracting never makes an earlier generator fit again, so this is
-    repeated subtraction of the first generator that fits.  Always
-    succeeds when g is the complete basis of its system; fails with
-    NotGeneratedError only on user-truncated bases.
+    Depth-first over the atoms in sorted order, each level trying its count
+    from the most that fits down to zero, so the first path is the greedy
+    one and the first hit the lexicographically greatest solution.  For w
+    in the cone of a complete Hilbert basis greedy never fails: each
+    remainder stays in the cone, so dominates a basis element unless zero,
+    and subtracting never makes an earlier atom fit again.
     """
+    order = sorted(range(len(atoms)), key=lambda i: atoms[i])
+    n = len(order)
+    counts = [0] * n
+    rems = [tuple(w)] + [()] * n          # rems[k]: what levels k.. must cover
+    k = 0
+    while True:
+        if k < n:
+            counts[k] = min((r // x for r, x in zip(rems[k], atoms[order[k]]) if x), default=0)
+        elif not any(rems[n]):
+            return tuple(c for _, c in sorted(zip(order, counts)))
+        else:
+            k = n - 1
+            while k >= 0 and counts[k] == 0:
+                k -= 1
+            if k < 0:
+                return None
+            counts[k] -= 1
+        rems[k + 1] = tuple(r - counts[k] * x for r, x in zip(rems[k], atoms[order[k]]))
+        k += 1
+
+
+def decompose(w: Sequence[int], g: MinimalGenerators) -> Decomposition:
+    """Coefficients of w over g's basis by `n_combination`: greedy subtraction
+    on a complete basis; NotGeneratedError if a truncated basis has none."""
     w = tuple(int(x) for x in w)
     if not membership(w, g.system):
         raise ValueError("vector is not an admissible element of the cone")
     if all(x == 0 for x in w):
         raise ValueError("decompose expects a nonzero vector")
-    counts = []
-    rem = list(w)
-    for u in g.basis:
-        n = min((r // x for r, x in zip(rem, u) if x), default=0)
-        counts.append(n)
-        rem = [r - n * x for r, x in zip(rem, u)]
-    if any(rem):
-        raise NotGeneratedError(f"remainder {tuple(rem)} not generated by the basis")
-    return Decomposition(coefficients=tuple(counts), generators=g)
+    counts = n_combination(w, g.basis)
+    if counts is None:
+        raise NotGeneratedError(f"{w} is not an N-combination of the basis")
+    return Decomposition(coefficients=counts, generators=g)
 
 
 def solutions_up_to(s: ConeSystem, bound: int) -> tuple[tuple[int, ...], ...]:

@@ -350,18 +350,8 @@ def loads(text: str) -> ComplexDocument:
 
     for name, (where, w) in raw["weights"].items():
         b, vec = _ref(doc.surfaces, w["surface"], where, "surface"), w["entries"]
-        if len(vec) != len(b.sectors):
-            raise DocumentError("invariant violation", where,
-                                f"length {len(vec)} != sector count {len(b.sectors)}")
-        for i, x in enumerate(vec):
-            if x < 0:
-                raise DocumentError("invariant violation", where,
-                                    "branched_surface_core rule nonnegative-entries: "
-                                    f"entry {x} on sector {i} is negative")
-        if not surface.satisfies_switch(b, vec):
-            raise DocumentError("invariant violation", where,
-                                "branched_surface_core rule switch-equations: "
-                                "entries violate a switch equation")
+        if (fault := surface.weight_fault(b, vec)) is not None:
+            raise DocumentError("invariant violation", where, fault)
         doc.weights[name] = (w["surface"], vec)
 
     for name, (where, d) in raw["fibered_domains"].items():
@@ -392,8 +382,9 @@ def loads(text: str) -> ComplexDocument:
     for tid, (where, t) in raw["tetrahedra"].items():
         problems = prisms.validate_tetrahedron(t, doc.faces)
         if problems:
+            rule, problem = problems[0]
             raise DocumentError("invariant violation", where,
-                                f"triangulation_complex rule edge-slot-agreement: {problems[0]}")
+                                f"triangulation_complex rule {rule}: {problem}")
         doc.tetrahedra[tid] = t
 
     for tid, (where, h) in raw["holonomy"].items():

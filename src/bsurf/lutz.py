@@ -10,12 +10,10 @@ signal that a different (half-twisted) base structure is required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
+from .hilbert import MinimalGenerators, n_combination
 from .surface import BranchedSurface, Classification, carried_surface
-
-if TYPE_CHECKING:
-    from .hilbert import MinimalGenerators
 
 
 @dataclass(frozen=True)
@@ -74,36 +72,6 @@ class RebaseRequired(ValueError):
     """target - base leaves the cone: the chosen base structure is wrong."""
 
 
-def _exact_cover(delta: tuple[int, ...],
-                 atoms: Sequence[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-    """Nonnegative integer combination of atoms equal to delta, or None.
-
-    Depth-first over the atoms in sorted order, one level per atom; each
-    level tries its count from the most that fits down to zero.  The first
-    count vector tried is the greedy path (always the first atom that
-    fits), and the first hit is the lexicographically greatest solution.
-    """
-    order = sorted(range(len(atoms)), key=lambda i: atoms[i])
-    n = len(order)
-    counts = [0] * n
-    rems = [tuple(delta)] + [()] * n      # rems[k]: what levels k.. must cover
-    k = 0
-    while True:
-        if k < n:
-            counts[k] = min((r // x for r, x in zip(rems[k], atoms[order[k]]) if x), default=0)
-        elif not any(rems[n]):
-            return tuple(c for _, c in sorted(zip(order, counts)))
-        else:
-            k = n - 1
-            while k >= 0 and counts[k] == 0:
-                k -= 1
-            if k < 0:
-                return None
-            counts[k] -= 1
-        rems[k + 1] = tuple(r - counts[k] * x for r, x in zip(rems[k], atoms[order[k]]))
-        k += 1
-
-
 def plan_for(target: Sequence[int], base: Sequence[int],
              generators: tuple[GeneratorInfo, ...],
              base_label: str = "base") -> LutzPlan:
@@ -115,7 +83,7 @@ def plan_for(target: Sequence[int], base: Sequence[int],
         raise RebaseRequired("target - base has a negative entry: re-base required")
     usable = [info for info in generators
               if info.classification is not Classification.OTHER]
-    counts = _exact_cover(delta, [info.effective for info in usable])
+    counts = n_combination(delta, [info.effective for info in usable])
     if counts is None:
         raise RebaseRequired("target - base is not an N-combination of the "
                              "generator weights: re-base required")

@@ -60,31 +60,34 @@ class Tetrahedron:
         return tuple(e for e in self.edges if vertex in e.vertices)
 
 
-def validate_tetrahedron(t: Tetrahedron, face_models: dict[str, FaceModel]) -> list[str]:
-    """Face/edge incidence and slot-count agreement along shared edges."""
+def validate_tetrahedron(t: Tetrahedron,
+                         face_models: dict[str, FaceModel]) -> list[tuple[str, str]]:
+    """Face/edge incidence and slot-count agreement along shared edges, as
+    (rule, problem) pairs."""
     problems = []
     for f in t.faces:
         if f not in face_models:
-            problems.append(f"tetrahedron {t.index}: face {f} has no model")
+            problems.append(("face-models", f"tetrahedron {t.index}: face {f} has no model"))
     if sorted(e.index for e in t.edges) != list(range(len(t.edges))):
-        problems.append(f"tetrahedron {t.index}: edge indices must be 0 to {len(t.edges) - 1}, "
-                        "each once")
+        problems.append(("edge-indices", f"tetrahedron {t.index}: edge indices must be 0 to "
+                                         f"{len(t.edges) - 1}, each once"))
     for e in t.edges:
+        at = f"tetrahedron {t.index} edge {e.index}"
         for f in e.faces:
             if f not in t.faces:
-                problems.append(f"tetrahedron {t.index} edge {e.index}: face {f} not on this tetrahedron")
+                problems.append(("edge-faces", f"{at}: face {f} not on this tetrahedron"))
         if len(set(e.faces)) != 2:
-            problems.append(f"tetrahedron {t.index} edge {e.index}: needs two distinct faces")
+            problems.append(("distinct-faces", f"{at}: needs two distinct faces"))
             continue
         if not all(k in (0, 1, 2) for k in e.face_edges):
-            problems.append(f"tetrahedron {t.index} edge {e.index}: face edges must be 0, 1 or 2")
+            problems.append(("face-edges", f"{at}: face edges must be 0, 1 or 2"))
             continue
         if all(f in face_models for f in e.faces):
             n0 = len(face_models[e.faces[0]].edge_slots[e.face_edges[0]])
             n1 = len(face_models[e.faces[1]].edge_slots[e.face_edges[1]])
             if n0 != n1:
-                problems.append(
-                    f"tetrahedron {t.index} edge {e.index}: slot counts disagree ({n0} vs {n1})")
+                problems.append(("edge-slot-agreement",
+                                 f"{at}: slot counts disagree ({n0} vs {n1})"))
     return problems
 
 

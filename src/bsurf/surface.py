@@ -132,16 +132,6 @@ class ValidationReport:
         return self.ok
 
 
-def _sector_refs(b: BranchedSurface) -> dict[tuple[int, Side], list[tuple[int, int, int]]]:
-    """Map (arc, side) -> list of (sector, cycle index, position) using it."""
-    refs: dict[tuple[int, Side], list[tuple[int, int, int]]] = {}
-    for sec in b.sectors:
-        for ci, cycle in enumerate(sec.boundary_cycles):
-            for pos, ref in enumerate(cycle):
-                refs.setdefault((ref.arc, ref.side), []).append((sec.index, ci, pos))
-    return refs
-
-
 def validate(b: BranchedSurface) -> ValidationReport:
     """Check the structural invariants; failures are reported, not raised."""
     bad: list[Violation] = []
@@ -152,6 +142,8 @@ def validate(b: BranchedSurface) -> ValidationReport:
     for i, sec in enumerate(b.sectors):
         if sec.index != i:
             bad.append(Violation("sector-index", f"sector {sec.index}", f"expected index {i}"))
+    ends: list = []                         # per arc: its endpoints, or None if closed
+    arcs_at: dict = {}                      # triple point -> the arcs that end there
     for i, arc in enumerate(b.branch_arcs):
         if arc.index != i:
             bad.append(Violation("arc-index", f"arc {arc.index}", f"expected index {i}"))
@@ -160,20 +152,19 @@ def validate(b: BranchedSurface) -> ValidationReport:
             if not 0 <= s < nsec:
                 bad.append(Violation("dangling sector reference", f"arc {arc.index}",
                                      f"{role} sector {s} does not exist"))
-        if not arc.is_closed:
-            if (not isinstance(arc.endpoints, (tuple, list))) or len(arc.endpoints) != 2:
-                bad.append(Violation("arc-endpoints", f"arc {arc.index}",
-                                     "endpoints must be 'closed' or a pair of triple points"))
-            else:
-                for t in arc.endpoints:
-                    if t not in tp_ids:
-                        bad.append(Violation("dangling triple-point reference",
-                                             f"arc {arc.index}", f"triple point {t} does not exist"))
-    arcs_at: dict = {}                      # triple point -> the arcs that end there
-    for arc in b.branch_arcs:
-        if not arc.is_closed and isinstance(arc.endpoints, (tuple, list)):
-            for t in arc.endpoints:
-                arcs_at.setdefault(t, set()).add(arc.index)
+        if arc.is_closed:
+            ends.append(None)
+            continue
+        ends.append(arc.endpoints)
+        points = arc.endpoints if isinstance(arc.endpoints, (tuple, list)) else ()
+        if len(points) != 2:
+            bad.append(Violation("arc-endpoints", f"arc {arc.index}",
+                                 "endpoints must be 'closed' or a pair of triple points"))
+        for t in points:
+            if len(points) == 2 and t not in tp_ids:
+                bad.append(Violation("dangling triple-point reference",
+                                     f"arc {arc.index}", f"triple point {t} does not exist"))
+            arcs_at.setdefault(t, set()).add(arc.index)
     for tp in b.triple_points:
         incident = arcs_at.get(tp.index, set())
         if set(tp.arcs) != incident or len(set(tp.arcs)) != 2:
@@ -182,46 +173,46 @@ def validate(b: BranchedSurface) -> ValidationReport:
 
     # Slot coverage: each arc side is occupied by exactly one boundary edge,
     # and it belongs to the sector the arc declares for that side.
-    refs = _sector_refs(b)
+    users: dict = {}                        # (arc, side) -> the sectors whose cycles use it
     for sec in b.sectors:
         for ci, cycle in enumerate(sec.boundary_cycles):
-            for pos, ref in enumerate(cycle):
+            for ref in cycle:
                 if ref.arc not in arc_ids:
                     bad.append(Violation("dangling arc reference",
                                          f"sector {sec.index} cycle {ci}",
                                          f"arc {ref.arc} does not exist"))
+                users.setdefault((ref.arc, ref.side), []).append(sec.index)
     if not bad:
         for arc in b.branch_arcs:
             for side, owner in ((Side.MERGED, arc.merged_sector),
                                 (Side.UPPER, arc.upper_sector),
                                 (Side.LOWER, arc.lower_sector)):
-                users = refs.get((arc.index, side), [])
-                if len(users) != 1:
+                found = users.get((arc.index, side), [])
+                if len(found) != 1:
                     bad.append(Violation("arc-side-coverage", f"arc {arc.index} {side.value}",
-                                         f"expected exactly one boundary edge, got {len(users)}"))
-                elif users[0][0] != owner:
+                                         f"expected exactly one boundary edge, got {len(found)}"))
+                elif found[0] != owner:
                     bad.append(Violation("arc-side-owner", f"arc {arc.index} {side.value}",
-                                         f"occupied by sector {users[0][0]}, declared {owner}"))
+                                         f"occupied by sector {found[0]}, declared {owner}"))
         # Corner consistency: consecutive edges of a cycle must meet at a
         # common triple point (closed arcs cannot share a cycle with others).
         for sec in b.sectors:
             for ci, cycle in enumerate(sec.boundary_cycles):
-                closed_refs = [r for r in cycle if b.branch_arcs[r.arc].is_closed]
-                if closed_refs and len(cycle) != 1:
-                    bad.append(Violation("cycle-closed-arc", f"sector {sec.index} cycle {ci}",
-                                         "a closed arc must form a whole boundary cycle"))
-                    continue
-                if closed_refs:
+                at = [ends[ref.arc] for ref in cycle]
+                if None in at:
+                    if len(cycle) != 1:
+                        bad.append(Violation("cycle-closed-arc", f"sector {sec.index} cycle {ci}",
+                                             "a closed arc must form a whole boundary cycle"))
                     continue
                 for pos, ref in enumerate(cycle):
-                    nxt = cycle[(pos + 1) % len(cycle)]
-                    a, an = b.branch_arcs[ref.arc], b.branch_arcs[nxt.arc]
-                    leave = a.endpoint(1 if ref.along == 1 else 0)
-                    enter = an.endpoint(0 if nxt.along == 1 else 1)
+                    nxt = (pos + 1) % len(cycle)
+                    leave = at[pos][1 if ref.along == 1 else 0]
+                    enter = at[nxt][0 if cycle[nxt].along == 1 else 1]
                     if leave != enter:
                         bad.append(Violation("corner-mismatch",
                                              f"sector {sec.index} cycle {ci} position {pos}",
-                                             f"arc {ref.arc} ends at {leave}, arc {nxt.arc} starts at {enter}"))
+                                             f"arc {ref.arc} ends at {leave}, "
+                                             f"arc {cycle[nxt].arc} starts at {enter}"))
 
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
@@ -264,18 +255,28 @@ def switch_violation(b: BranchedSurface, x: Sequence) -> Optional[BranchArc]:
     return None
 
 
-def satisfies_switch(b: BranchedSurface, weights: Sequence[int]) -> bool:
+def weight_fault(b: BranchedSurface, weights: Sequence[int]) -> Optional[str]:
+    """The first rule an integer weight vector breaks, worded, or None: its
+    length, then its first negative entry, then the switch equations."""
+    rule = "branched_surface_core rule"
     if len(weights) != len(b.sectors):
-        return False
-    if any(w < 0 for w in weights):
-        return False
-    return switch_violation(b, weights) is None
+        return f"{rule} weight-length: length {len(weights)} != sector count {len(b.sectors)}"
+    for i, x in enumerate(weights):
+        if x < 0:
+            return f"{rule} nonnegative-entries: entry {x} on sector {i} is negative"
+    if switch_violation(b, weights) is not None:
+        return f"{rule} switch-equations: entries violate a switch equation"
+    return None
+
+
+def satisfies_switch(b: BranchedSurface, weights: Sequence[int]) -> bool:
+    return weight_fault(b, weights) is None
 
 
 def fully_carried(b: BranchedSurface, weights: Sequence[int]) -> bool:
     """True iff the carried surface meets every fiber: all weights positive."""
-    if not satisfies_switch(b, weights):
-        raise ValueError("weight vector violates the switch system")
+    if (fault := weight_fault(b, weights)) is not None:
+        raise ValueError(fault)
     return all(w > 0 for w in weights)
 
 
@@ -408,8 +409,8 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     equal (chi, orientable).
     """
     weights = tuple(int(w) for w in weights)
-    if not satisfies_switch(b, weights):
-        raise ValueError("weight vector violates the switch system")
+    if (fault := weight_fault(b, weights)) is not None:
+        raise ValueError(fault)
     if all(w == 0 for w in weights):
         raise ValueError("zero weight vector carries nothing")
 

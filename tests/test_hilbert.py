@@ -365,6 +365,55 @@ def test_decompose_truncated_basis_fails():
         decompose(removed, truncated)
 
 
+def _greedy_coefficients(w, basis):
+    """``decompose`` as it subtracted greedily: as many copies of each
+    generator as fit, in basis order; None if a remainder is left."""
+    counts, rem = [], list(w)
+    for u in basis:
+        n = min((r // x for r, x in zip(rem, u) if x), default=0)
+        counts.append(n)
+        rem = [r - n * x for r, x in zip(rem, u)]
+    return None if any(rem) else tuple(counts)
+
+
+def _is_n_combination(w, atoms):
+    """Exhaustive: every remainder that any counts of the atoms leave, one
+    atom at a time; w is a combination iff the zero vector is among them."""
+    rems = {tuple(w)}
+    for u in atoms:
+        rems = {tuple(r - k * x for r, x in zip(rem, u))
+                for rem in rems
+                for k in range(min(r // x for r, x in zip(rem, u) if x) + 1)}
+    return tuple(0 for _ in w) in rems
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_decompose_matches_the_greedy_loop_and_an_exhaustive_search(seed):
+    rng = random.Random(seed)
+    s = random_switch_system(rng, max_dim=8, max_relations=6)
+    g = minimal_generators(s)
+    if not g.basis:
+        return
+    for _ in range(5):
+        coeffs = [rng.randint(0, 3) for _ in g.basis]
+        w = tuple(sum(n * u[i] for n, u in zip(coeffs, g.basis)) for i in range(s.dimension))
+        if not any(w):
+            continue
+        assert decompose(w, g).coefficients == _greedy_coefficients(w, g.basis)
+        # a truncated basis in shuffled order: decompose recomposes w or finds none
+        kept = [u for u in g.basis if rng.random() < 0.6]
+        rng.shuffle(kept)
+        truncated = MinimalGenerators(basis=tuple(kept), system=s)
+        try:
+            dec = decompose(w, truncated)
+        except NotGeneratedError:
+            assert not _is_n_combination(w, kept)
+        else:
+            assert dec.recompose() == w
+            assert all(n >= 0 for n in dec.coefficients)
+
+
 # ---------------------------------------------------------------------------
 # properties against the oracle
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bsurf import cli, dividing, domain, fixtures, hilbert, io, prisms, surface
@@ -336,16 +336,53 @@ def _bad_face_document(tmp_path) -> str:
      "surface theta: 2 minimal generators\n  0,1,1\n  1,0,1\n"
      "oracle check at bound 0: FAIL\n", ""),
     ("validate EMPTY_FACE", 2, "tb_triangulation: FAIL (face E: tb(boundary) = 0 > -1)\n", ""),
+    ("bypass documents/complex.json --face F123 --site strands:1,3,99", 1, "",
+     "error: reference error at site strands:1,3,99: slot 99 is not matched\n"),
+    ("bypass documents/complex.json --face F123 --site strands:1,3,x", 1, "",
+     "error: reference error at site strands:1,3,x: slots must be comma-separated integers\n"),
 ], ids=["weight-of-another-surface", "weight-not-integers", "undeclared-surface",
         "several-surfaces", "the-one-surface", "strands-site-of-two", "halfdisk-site-of-one",
         "unknown-site-kind", "undeclared-face", "no-ensembles", "undeclared-ensemble",
-        "oracle-bound-zero", "face-without-arcs"])
+        "oracle-bound-zero", "face-without-arcs", "unmatched-site-slot", "site-not-integers"])
 def test_cli_reports_each_fault_on_its_own_path(monkeypatch, tmp_path, capsys,
                                                 args, code, out, err):
     if "EMPTY_FACE" in args:
         args = args.replace("EMPTY_FACE", _bad_face_document(tmp_path))
     monkeypatch.chdir(DOCS.parent)
     assert (cli.main(shlex.split(args)), *capsys.readouterr()) == (code, out, err)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(-2, 4), max_size=5))
+@example([1, 1, 2])
+@example([0, 0, 0])
+@example([2, 1, 3])
+@example([1, 0, 0])
+@example([])
+def test_a_weight_flag_meets_the_document_weight_rule(capsys, vec):
+    spec = ",".join(map(str, vec))
+    raw = copy.deepcopy(SHIPPED["theta"])
+    raw["weights"][0]["entries"] = vec         # the weight "both" of surface theta
+    try:
+        io.loads(json.dumps(raw))
+        fault = None
+    except io.DocumentError as exc:
+        fault = str(exc).removeprefix("invariant violation at weight both: ")
+    theta = [str(DOCS / "theta.json"), "--surface", "theta"]
+    runs = {"carry": ["carry", *theta, f"--weight={spec}"],
+            "plan target": ["lutz", "plan", *theta, f"--target={spec}"],
+            "plan base": ["lutz", "plan", *theta, f"--base={spec}", "--target=4,4,8"],
+            "enumerate base": ["lutz", "enumerate", *theta, f"--base={spec}"]}
+    for what, argv in runs.items():
+        code, (out, err) = cli.main(argv), capsys.readouterr()
+        if fault is not None:
+            assert (code, out, err) == (
+                1, "", f"error: invariant violation at weight {spec}: {fault}\n"), what
+        elif what == "carry" and not any(vec):
+            assert (code, out, err) == (1, "", "error: zero weight vector carries nothing\n")
+        else:
+            assert (code, err) == (0, ""), what
 
 
 @pytest.mark.parametrize("args, err", [
@@ -628,10 +665,10 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
      "parse error at branched_surface theta sectors[0].orientable: expected bool, got \"no\""),
     ("theta", ("weights", 0, "name"), "drop", "parse error at weights: missing field 'name'"),
     ("complex", ("tetrahedra", 0, "edges", 0, "face_edges", 0), 7,
-     "invariant violation at tetrahedron G: triangulation_complex rule edge-slot-agreement: "
+     "invariant violation at tetrahedron G: triangulation_complex rule face-edges: "
      "tetrahedron G edge 0: face edges must be 0, 1 or 2"),
     ("complex", ("tetrahedra", 0, "edges", 4, "index"), 3,
-     "invariant violation at tetrahedron G: triangulation_complex rule edge-slot-agreement: "
+     "invariant violation at tetrahedron G: triangulation_complex rule edge-indices: "
      "tetrahedron G: edge indices must be 0 to 5, each once"),
     ("complex", ("prism_configurations", 0, "tets", "G", "diagonal"), 5,
      "invariant violation at prism_configuration corner tets.G: "
@@ -689,6 +726,18 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
     ("complex", ("faces", 0, "edge_slots"), [[0, 0], [2, 3], [4]],
      "invariant violation at face F123: dividing_set_calculus rule slot-order: "
      "slot 0 declared twice on face F123"),
+    ("theta", ("weights", 0, "entries"), [1, 1],
+     f"invariant violation at weight both: {CORE} weight-length: "
+     "length 2 != sector count 3"),
+    ("complex", ("tetrahedra", 0, "faces", 3), "F999",
+     "invariant violation at tetrahedron G: triangulation_complex rule face-models: "
+     "tetrahedron G: face F999 has no model"),
+    ("complex", ("tetrahedra", 0, "edges", 0, "faces", 1), "F999",
+     "invariant violation at tetrahedron G: triangulation_complex rule edge-faces: "
+     "tetrahedron G edge 0: face F999 not on this tetrahedron"),
+    ("complex", ("tetrahedra", 0, "edges", 0, "faces"), ["F124", "F124"],
+     "invariant violation at tetrahedron G: triangulation_complex rule distinct-faces: "
+     "tetrahedron G edge 0: needs two distinct faces"),
 ])
 def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
     doc = copy.deepcopy(SHIPPED[name])

@@ -14,7 +14,7 @@ from bsurf import fixtures
 from bsurf.hilbert import minimal_generators
 from bsurf.surface import (BranchArc, BranchedSurface, CarriedSurface, Classification,
                            Component, CycleRef, Sector, Side, TriplePoint, _find,
-                           _sector_refs, adjacency_graph, carried_adjacency_graph,
+                           adjacency_graph, carried_adjacency_graph,
                            carried_surface, classify, fully_carried, klein_double,
                            Violation, satisfies_switch, switch_system, switch_violation,
                            validate)
@@ -56,6 +56,18 @@ def test_validate_names_an_arc_with_one_endpoint():
         ("arc-endpoints", "arc 0", "endpoints must be 'closed' or a pair of triple points")]
 
 
+def test_validate_names_dangling_arcs_beside_an_arc_index_fault():
+    # arc 1 stored as arc 7: the cycles that use arc 1 dangle, though a
+    # position 1 exists
+    b = fixtures.theta_surface()
+    b = dataclasses.replace(b, branch_arcs=(b.branch_arcs[0],
+                                            dataclasses.replace(b.branch_arcs[1], index=7)))
+    assert [(v.rule, v.location, v.detail) for v in validate(b).violations] == [
+        ("arc-index", "arc 7", "expected index 1")] + [
+        ("dangling arc reference", f"sector {i} cycle 1", "arc 1 does not exist")
+        for i in range(3)]
+
+
 def test_validate_three_sheet_model():
     b = fixtures.three_sheets_surface()
     assert len(b.sectors) == 3
@@ -93,6 +105,16 @@ def test_validate_corner_mismatch():
     report = validate(two_vertex_wedge(consistent=False))
     assert not report.ok
     assert any(v.rule == "corner-mismatch" for v in report.violations)
+
+
+def _sector_refs(b: BranchedSurface) -> dict[tuple[int, Side], list[tuple[int, int, int]]]:
+    """Map (arc, side) -> list of (sector, cycle index, position) using it."""
+    refs: dict[tuple[int, Side], list[tuple[int, int, int]]] = {}
+    for sec in b.sectors:
+        for ci, cycle in enumerate(sec.boundary_cycles):
+            for pos, ref in enumerate(cycle):
+                refs.setdefault((ref.arc, ref.side), []).append((sec.index, ci, pos))
+    return refs
 
 
 def _reference_validate(b: BranchedSurface) -> tuple[Violation, ...]:

@@ -80,7 +80,7 @@ def _weight(doc, spec: str, surface_name: str):
         raise io.DocumentError("reference error", f"weight {spec}",
                                "not a named weight or a comma-separated integer vector")
     if (fault := surface.weight_fault(doc.surfaces[surface_name], vec)) is not None:
-        raise io.DocumentError("invariant violation", f"weight {spec}", fault)
+        raise io.broken_rule(f"weight {spec}", surface.RULE_SET, fault)
     return vec
 
 
@@ -173,15 +173,14 @@ def cmd_lutz_enumerate(args, doc) -> int:
 
 
 def _parse_site(spec: str):
-    from . import dividing, io
+    from . import dividing
     kind, _, rest = spec.partition(":")
     if kind not in ("strands", "halfdisk"):
         raise ValueError(f"unknown site kind {kind!r}; use strands:... or halfdisk:...")
     try:
         slots = tuple(int(x) for x in rest.split(","))
     except ValueError:
-        raise io.DocumentError("reference error", f"site {spec}",
-                               "slots must be comma-separated integers")
+        raise ValueError("slots must be comma-separated integers") from None
     if kind == "strands":
         if len(slots) != 3:
             raise ValueError("strands site needs three top slots")
@@ -197,11 +196,10 @@ def cmd_bypass(args, doc) -> int:
         raise io.DocumentError("reference error", f"face {args.face}",
                                "no dividing set declared")
     d = doc.dividing_sets[args.face]
-    site = _parse_site(args.site)
     side = dividing.Side.POSITIVE if args.side == "pos" else dividing.Side.NEGATIVE
     try:
-        result = dividing.bypass_surgery(d, site, side)
-    except KeyError as exc:                 # a slot that no arc of the face matches
+        result = dividing.bypass_surgery(d, _parse_site(args.site), side)
+    except (ValueError, KeyError) as exc:   # a KeyError names a slot that no arc matches
         raise io.DocumentError("reference error", f"site {args.site}", exc.args[0])
     print(f"face {args.face}: {len(d.arcs)} arcs -> {len(result.arcs)} arcs")
     for arc in result.normal_form():
@@ -266,18 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", parents=[doc], help="run every validator in the document")
     v.add_argument("--export-graph")
-    v.set_defaults(func=cmd_validate)
+    v.set_defaults(func=cmd_validate, parser=v)
 
     h = sub.add_parser("hilbert", parents=[doc], help="minimal generators of the switch cone")
     h.add_argument("--surface")
     h.add_argument("--oracle-bound", type=_nonnegative)
-    h.set_defaults(func=cmd_hilbert)
+    h.set_defaults(func=cmd_hilbert, parser=h)
 
     c = sub.add_parser("carry", parents=[doc], help="carried surface report for a weight")
     c.add_argument("--surface")
     c.add_argument("--weight", required=True)
     c.add_argument("--export-graph")
-    c.set_defaults(func=cmd_carry)
+    c.set_defaults(func=cmd_carry, parser=c)
 
     lutz = sub.add_parser("lutz", help="twisting plans and enumeration")
     actions = lutz.add_subparsers(dest="action", required=True)
@@ -287,21 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
         a.add_argument("--surface")
         a.add_argument("--base")
     lp.add_argument("--target", required=True)
-    lp.set_defaults(func=cmd_lutz_plan)
+    lp.set_defaults(func=cmd_lutz_plan, parser=lp)
     le.add_argument("--bound", type=_nonnegative, default=0)
-    le.set_defaults(func=cmd_lutz_enumerate)
+    le.set_defaults(func=cmd_lutz_enumerate, parser=le)
 
     bp = sub.add_parser("bypass", parents=[doc], help="bypass surgery on a face")
     bp.add_argument("--face", required=True)
     bp.add_argument("--site", required=True,
                     help="strands:t1,t2,t3 or halfdisk:a,b")
     bp.add_argument("--side", choices=("pos", "neg"), default="pos")
-    bp.set_defaults(func=cmd_bypass)
+    bp.set_defaults(func=cmd_bypass, parser=bp)
 
     pr = sub.add_parser("prune", parents=[doc], help="prune ensembles to boundaryless quotients")
     pr.add_argument("--ensemble")
     pr.add_argument("--cap")
-    pr.set_defaults(func=cmd_prune)
+    pr.set_defaults(func=cmd_prune, parser=pr)
     return p
 
 
@@ -312,7 +310,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    # leftover arguments are reported by the chosen command's parser, under its usage line
+    args, extra = _parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     from . import io
     try:
         return args.func(args, io.load(args.document))

@@ -21,6 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from .surface import RuleError
+
+RULE_SET = "dividing_set_calculus"
+
 
 @dataclass(frozen=True)
 class FaceModel:
@@ -30,14 +34,14 @@ class FaceModel:
 
     def __post_init__(self):
         if len(self.edge_slots) != 3:
-            raise ValueError("three edges required")
+            raise RuleError("hexagon-edges", "three edges required")
         slots = self.slots
         if len(set(slots)) == len(slots):
             return
         seen = set()
         for s in slots:                   # name the first repeated slot
             if s in seen:
-                raise ValueError(f"slot {s} declared twice on face {self.face}")
+                raise RuleError("slot-order", f"slot {s} declared twice on face {self.face}")
             seen.add(s)
 
     @property
@@ -118,11 +122,12 @@ class DividingSet:
         used = []
         for a in self.arcs:
             if len(a) != 2 or a[0] == a[1]:
-                raise ValueError(f"malformed arc {a}")
+                raise RuleError("slot-matching", f"malformed arc {a}")
             used.extend(a)
         slots = self.face.slots
         if sorted(used) != sorted(slots):
-            raise ValueError(f"face {self.face.face}: every slot must be used by exactly one arc")
+            raise RuleError("slot-matching",
+                            f"face {self.face.face}: every slot must be used by exactly one arc")
         # A matching is planar iff its arcs nest like brackets along the
         # boundary.  Both slots of an arc map to the same stored tuple.
         arc_at = self._arc_index
@@ -135,7 +140,8 @@ class DividingSet:
                 open_arcs.append(arc)
         if open_arcs:
             first, second = _first_crossing(self.arcs, slots)
-            raise ValueError(f"non-planar dividing set: arcs {first} and {second} cross")
+            raise RuleError("non-planar dividing set",
+                            f"non-planar dividing set: arcs {first} and {second} cross")
 
     @cached_property
     def _arc_index(self) -> dict[int, tuple[int, int]]:

@@ -28,8 +28,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .surface import (BranchedSurface, Sector, ValidationReport, Violation, switch_violation,
-                      validate)
+from .surface import (BranchedSurface, RuleError, Sector, ValidationReport, Violation,
+                      switch_violation, validate)
+
+RULE_SET = "fibered_domain"
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,11 @@ class AngleFunction:
     def __post_init__(self):
         for i, v in enumerate(self.values):
             if type(v) is not Fraction and type(v) is not int:
-                raise ValueError(f"angle on sector {i} must be an int or a Fraction, got {v!r}")
+                raise RuleError("exact-angles",
+                                f"angle on sector {i} must be an int or a Fraction, got {v!r}")
             if v.numerator <= 0:     # denominators are positive
-                raise ValueError(f"angle on sector {i} must be positive, got {v}")
+                raise RuleError("positive-angles",
+                                f"angle on sector {i} must be positive, got {v}")
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
@@ -158,7 +162,7 @@ class AdjustedStructure:
     def __post_init__(self):
         b = self.domain.quotient
         if len(self.angle) != len(b.sectors):
-            raise ValueError("angle table length must match the sector count")
+            raise RuleError("angle-count", "angle table length must match the sector count")
 
 
 def _scaled(rows: Sequence[Sequence[tuple[int, int]]]) -> list[list[int]]:
@@ -177,12 +181,12 @@ def check_adjacency(base: AdjustedStructure, other: AdjustedStructure) -> None:
     """Angle differences must satisfy the switch relations across every arc."""
     fault = first_incoherent((base, other))
     if fault is not None:
-        raise ValueError(fault[1])
+        raise RuleError(fault[1].rule, fault[1].detail)
 
 
-def first_incoherent(structures: Sequence[AdjustedStructure]) -> Optional[tuple[int, str]]:
+def first_incoherent(structures: Sequence[AdjustedStructure]) -> Optional[tuple[int, Violation]]:
     """The index of the first structure whose angle differences from
-    ``structures[0]`` break a switch relation, with the reason, or None.
+    ``structures[0]`` break a switch relation, with the violation, or None.
 
     All angle tables are scaled once, to exact integer rows over the lcm of
     the ensemble's denominators; a switch relation is linear, so one common
@@ -197,9 +201,10 @@ def first_incoherent(structures: Sequence[AdjustedStructure]) -> Optional[tuple[
         arc = switch_violation(b, [y - x for x, y in zip(rows[0], row)])
         if arc is not None:
             diff = [o - a for o, a in zip(structures[i].angle.values, base.angle.values)]
-            return i, (f"adjacency violated at arc {arc.index}: merged offset "
-                       f"{diff[arc.merged_sector]} != "
-                       f"{diff[arc.upper_sector] + diff[arc.lower_sector]}")
+            return i, Violation("adjacency-coherence", "",
+                                f"adjacency violated at arc {arc.index}: merged offset "
+                                f"{diff[arc.merged_sector]} != "
+                                f"{diff[arc.upper_sector] + diff[arc.lower_sector]}")
     return None
 
 

@@ -4,8 +4,10 @@ Each entity's fields are declared once, in the tables below, for both
 ``loads`` and ``dumps``.  Loading checks JSON types strictly, rejects unknown
 keys, keys repeated in one object and duplicate names, resolves
 cross-references and checks module invariants, stopping at the first fault
-with a located ``DocumentError``.  List items are decoded under their
-indexed paths; only lists of scalar lists are type-checked whole first.
+with a located ``DocumentError``.  Each layer names the rules it checks;
+``broken_rule`` words a broken one and adds only its location.  List items
+are decoded under their indexed paths; only lists of scalar lists are
+type-checked whole first.
 The tables name the classes of ``dividing``, ``domain`` and ``prisms`` as
 ``"layer.Class"``; a codec imports its layer the first time it decodes an
 entity, so a document whose face, domain and prism sections are empty loads
@@ -314,11 +316,11 @@ def load(path) -> ComplexDocument:
     return loads(text)
 
 
-def _first_violation(report, where: str, module: str):
-    if not report.ok:
-        v = report.violations[0]
-        raise DocumentError("invariant violation", f"{where} ({v.location})",
-                            f"{module} rule {v.rule}: {v.detail}")
+def broken_rule(where: str, rule_set: str, v: surface.Violation) -> DocumentError:
+    """The one wording of a broken rule: at ``where``, and at the violation's
+    own location inside it when it has one."""
+    return DocumentError("invariant violation", f"{where} ({v.location})" if v.location else where,
+                         f"{rule_set} rule {v.rule}: {v.detail}")
 
 
 def loads(text: str) -> ComplexDocument:
@@ -345,46 +347,40 @@ def loads(text: str) -> ComplexDocument:
         from . import prisms
 
     for name, (where, b) in raw["branched_surfaces"].items():
-        _first_violation(surface.validate(b), where, "branched_surface_core")
+        if bad := surface.validate(b).violations:
+            raise broken_rule(where, surface.RULE_SET, bad[0])
         doc.surfaces[name] = b if b.name == name else replace(b, name=name)
 
     for name, (where, w) in raw["weights"].items():
         b, vec = _ref(doc.surfaces, w["surface"], where, "surface"), w["entries"]
         if (fault := surface.weight_fault(b, vec)) is not None:
-            raise DocumentError("invariant violation", where, fault)
+            raise broken_rule(where, surface.RULE_SET, fault)
         doc.weights[name] = (w["surface"], vec)
 
     for name, (where, d) in raw["fibered_domains"].items():
         fd = domain.FiberedDomain(quotient=_ref(doc.surfaces, d["surface"], where, "surface"),
                                   vertical_annuli=d["vertical_annuli"],
                                   boundary_sectors=d["boundary_sectors"], name=name)
-        _first_violation(domain.validate_domain(fd), where, "fibered_domain")
+        if bad := domain.validate_domain(fd).violations:
+            raise broken_rule(where, domain.RULE_SET, bad[0])
         doc.domains[name] = fd
 
     for fid, (where, f) in raw["faces"].items():
         try:
             doc.faces[fid] = dividing.FaceModel(**f)
-        except ValueError as exc:
-            rule = "hexagon-edges" if len(f["edge_slots"]) != 3 else "slot-order"
-            raise DocumentError("invariant violation", where,
-                                f"dividing_set_calculus rule {rule}: {exc}")
+        except surface.RuleError as exc:
+            raise broken_rule(where, dividing.RULE_SET, exc.violation)
 
     for fid, (where, d) in raw["dividing_sets"].items():
         face = _ref(doc.faces, fid, where, "face")
         try:
             doc.dividing_sets[fid] = dividing.DividingSet(face=face, arcs=d["arcs"])
-        except ValueError as exc:
-            msg = str(exc)
-            rule = "non-planar dividing set" if "non-planar" in msg else "slot-matching"
-            raise DocumentError("invariant violation", where,
-                                f"dividing_set_calculus rule {rule}: {msg}")
+        except surface.RuleError as exc:
+            raise broken_rule(where, dividing.RULE_SET, exc.violation)
 
     for tid, (where, t) in raw["tetrahedra"].items():
-        problems = prisms.validate_tetrahedron(t, doc.faces)
-        if problems:
-            rule, problem = problems[0]
-            raise DocumentError("invariant violation", where,
-                                f"triangulation_complex rule {rule}: {problem}")
+        if bad := prisms.validate_tetrahedron(t, doc.faces):
+            raise broken_rule(where, prisms.RULE_SET, bad[0])
         doc.tetrahedra[tid] = t
 
     for tid, (where, h) in raw["holonomy"].items():
@@ -397,20 +393,13 @@ def loads(text: str) -> ComplexDocument:
         for i, sd in enumerate(e["structures"]):
             label = f"{name}[{i}]" if sd["label"] is None else sd["label"]
             try:
-                angle = domain.AngleFunction(sd["angles"])
-            except ValueError as exc:
-                raise DocumentError("invariant violation", f"structure {label}",
-                                    f"fibered_domain rule positive-angles: {exc}")
-            try:
-                structures.append(domain.AdjustedStructure(domain=fd, angle=angle, label=label))
-            except ValueError as exc:
-                raise DocumentError("invariant violation", f"structure {label}",
-                                    f"fibered_domain rule angle-count: {exc}")
-        fault = domain.first_incoherent(structures)
-        if fault is not None:
-            raise DocumentError("invariant violation",
-                                f"ensemble {name} structure {structures[fault[0]].label}",
-                                f"fibered_domain rule adjacency-coherence: {fault[1]}")
+                structures.append(domain.AdjustedStructure(
+                    domain=fd, angle=domain.AngleFunction(sd["angles"]), label=label))
+            except surface.RuleError as exc:
+                raise broken_rule(f"structure {label}", domain.RULE_SET, exc.violation)
+        if (fault := domain.first_incoherent(structures)) is not None:
+            raise broken_rule(f"ensemble {name} structure {structures[fault[0]].label}",
+                              domain.RULE_SET, fault[1])
         doc.ensembles[name] = (e["domain"], tuple(structures))
 
     for name, (where, pc) in raw["prism_configurations"].items():

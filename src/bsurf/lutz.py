@@ -72,12 +72,25 @@ class RebaseRequired(ValueError):
     """target - base leaves the cone: the chosen base structure is wrong."""
 
 
+def _vector(name: str, v: Sequence[int], generators: tuple[GeneratorInfo, ...]):
+    """``v`` as a tuple of ints, of the generators' length when there are any."""
+    v = tuple(int(x) for x in v)
+    if generators and len(v) != len(generators[0].weight):
+        raise ValueError(f"{name} length {len(v)} != generator length "
+                         f"{len(generators[0].weight)}")
+    return v
+
+
 def plan_for(target: Sequence[int], base: Sequence[int],
              generators: tuple[GeneratorInfo, ...],
              base_label: str = "base") -> LutzPlan:
-    """Coefficient plan writing target as base plus generator twists."""
-    target = tuple(int(x) for x in target)
-    base = tuple(int(x) for x in base)
+    """Coefficient plan writing target as base plus generator twists.
+
+    A target or base whose length differs from the generators' raises
+    ValueError.  Whether they meet the switch equations is the caller's
+    check (``surface.weight_fault``, as ``cli._weight`` runs it)."""
+    target = _vector("target", target, generators)
+    base = _vector("base", base, generators)
     delta = tuple(t - b for t, b in zip(target, base))
     if any(x < 0 for x in delta):
         raise RebaseRequired("target - base has a negative entry: re-base required")
@@ -98,9 +111,12 @@ def enumerate_structures(generators: tuple[GeneratorInfo, ...],
     """All weights base + sum n_i * atom_i with sum n_i <= bound, deduplicated.
 
     Deterministic stream: weights appear in sorted order; distinct
-    coefficient plans that collide yield one weight.
+    coefficient plans that collide yield one weight.  A base whose length
+    differs from the generators' raises ValueError at the first step of the
+    stream; whether it meets the switch equations is the caller's check
+    (``surface.weight_fault``, as ``cli._weight`` runs it).
     """
-    base = tuple(int(x) for x in base)
+    base = _vector("base", base, generators)
     atoms = [info.effective for info in generators
              if info.classification is not Classification.OTHER]
     seen = {base}

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dividing import DividingSet, FaceModel, PieceReport, classify_pieces, tb_triangulation
+from .surface import Violation
+
+RULE_SET = "triangulation_complex"
 
 
 @dataclass(frozen=True)
@@ -61,33 +64,34 @@ class Tetrahedron:
 
 
 def validate_tetrahedron(t: Tetrahedron,
-                         face_models: dict[str, FaceModel]) -> list[tuple[str, str]]:
-    """Face/edge incidence and slot-count agreement along shared edges, as
-    (rule, problem) pairs."""
+                         face_models: dict[str, FaceModel]) -> list[Violation]:
+    """Face/edge incidence and slot-count agreement along shared edges."""
     problems = []
     for f in t.faces:
         if f not in face_models:
-            problems.append(("face-models", f"tetrahedron {t.index}: face {f} has no model"))
+            problems.append(Violation("face-models", "",
+                                      f"tetrahedron {t.index}: face {f} has no model"))
     if sorted(e.index for e in t.edges) != list(range(len(t.edges))):
-        problems.append(("edge-indices", f"tetrahedron {t.index}: edge indices must be 0 to "
-                                         f"{len(t.edges) - 1}, each once"))
+        problems.append(Violation("edge-indices", "", f"tetrahedron {t.index}: edge indices must "
+                                  f"be 0 to {len(t.edges) - 1}, each once"))
     for e in t.edges:
         at = f"tetrahedron {t.index} edge {e.index}"
         for f in e.faces:
             if f not in t.faces:
-                problems.append(("edge-faces", f"{at}: face {f} not on this tetrahedron"))
+                problems.append(Violation("edge-faces", "",
+                                          f"{at}: face {f} not on this tetrahedron"))
         if len(set(e.faces)) != 2:
-            problems.append(("distinct-faces", f"{at}: needs two distinct faces"))
+            problems.append(Violation("distinct-faces", "", f"{at}: needs two distinct faces"))
             continue
         if not all(k in (0, 1, 2) for k in e.face_edges):
-            problems.append(("face-edges", f"{at}: face edges must be 0, 1 or 2"))
+            problems.append(Violation("face-edges", "", f"{at}: face edges must be 0, 1 or 2"))
             continue
         if all(f in face_models for f in e.faces):
             n0 = len(face_models[e.faces[0]].edge_slots[e.face_edges[0]])
             n1 = len(face_models[e.faces[1]].edge_slots[e.face_edges[1]])
             if n0 != n1:
-                problems.append(("edge-slot-agreement",
-                                 f"{at}: slot counts disagree ({n0} vs {n1})"))
+                problems.append(Violation("edge-slot-agreement", "",
+                                          f"{at}: slot counts disagree ({n0} vs {n1})"))
     return problems
 
 

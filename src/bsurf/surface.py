@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+RULE_SET = "branched_surface_core"
+
 
 class Side(str, Enum):
     """Which side of a branch arc a sector boundary edge occupies."""
@@ -121,6 +123,19 @@ class Violation:
 
     def __str__(self):
         return f"[{self.rule}] at {self.location}: {self.detail}"
+
+
+class RuleError(ValueError):
+    """A value that breaks a named rule of its layer.  ``str`` is the bare
+    detail; ``violation`` carries the rule for a caller that locates it."""
+
+    def __init__(self, rule: str, detail: str):
+        super().__init__(detail)
+        self.rule = rule
+
+    @property
+    def violation(self) -> Violation:
+        return Violation(self.rule, "", str(self))
 
 
 @dataclass(frozen=True)
@@ -255,17 +270,17 @@ def switch_violation(b: BranchedSurface, x: Sequence) -> Optional[BranchArc]:
     return None
 
 
-def weight_fault(b: BranchedSurface, weights: Sequence[int]) -> Optional[str]:
-    """The first rule an integer weight vector breaks, worded, or None: its
-    length, then its first negative entry, then the switch equations."""
-    rule = "branched_surface_core rule"
+def weight_fault(b: BranchedSurface, weights: Sequence[int]) -> Optional[Violation]:
+    """The first rule an integer weight vector breaks, or None: its length,
+    then its first negative entry, then the switch equations."""
     if len(weights) != len(b.sectors):
-        return f"{rule} weight-length: length {len(weights)} != sector count {len(b.sectors)}"
+        return Violation("weight-length", "",
+                         f"length {len(weights)} != sector count {len(b.sectors)}")
     for i, x in enumerate(weights):
         if x < 0:
-            return f"{rule} nonnegative-entries: entry {x} on sector {i} is negative"
+            return Violation("nonnegative-entries", "", f"entry {x} on sector {i} is negative")
     if switch_violation(b, weights) is not None:
-        return f"{rule} switch-equations: entries violate a switch equation"
+        return Violation("switch-equations", "", "entries violate a switch equation")
     return None
 
 
@@ -275,8 +290,8 @@ def satisfies_switch(b: BranchedSurface, weights: Sequence[int]) -> bool:
 
 def fully_carried(b: BranchedSurface, weights: Sequence[int]) -> bool:
     """True iff the carried surface meets every fiber: all weights positive."""
-    if (fault := weight_fault(b, weights)) is not None:
-        raise ValueError(fault)
+    if (v := weight_fault(b, weights)) is not None:
+        raise ValueError(f"{RULE_SET} rule {v.rule}: {v.detail}")
     return all(w > 0 for w in weights)
 
 
@@ -409,8 +424,8 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     equal (chi, orientable).
     """
     weights = tuple(int(w) for w in weights)
-    if (fault := weight_fault(b, weights)) is not None:
-        raise ValueError(fault)
+    if (v := weight_fault(b, weights)) is not None:
+        raise ValueError(f"{RULE_SET} rule {v.rule}: {v.detail}")
     if all(w == 0 for w in weights):
         raise ValueError("zero weight vector carries nothing")
 

@@ -224,8 +224,9 @@ def test_cli_bypass_rejects_an_unusable_halfdisk(tmp_path, capsys):
     path = tmp_path / "disk.json"
     io.save(io.ComplexDocument(faces={"D": d.face}, dividing_sets={"D": d}), path)
     assert cli.main(["bypass", str(path), "--face", "D", "--site", "halfdisk:0,1"]) == 1
-    assert capsys.readouterr() == ("", "error: arc (0, 1) is the only arc on face D: its "
-                                       "half-disk is not a usable bypass site\n")
+    assert capsys.readouterr() == ("", "error: reference error at site halfdisk:0,1: arc (0, 1) "
+                                       "is the only arc on face D: its half-disk is not a usable "
+                                       "bypass site\n")
 
 
 def test_cli_prune_reports_classes(capsys):
@@ -321,11 +322,13 @@ def _bad_face_document(tmp_path) -> str:
      "  component 0: chi 0, orientable, torus\n"
      "  component 1: chi 0, orientable, torus\n", ""),
     ("bypass documents/complex.json --face F123 --site strands:1,3", 1, "",
-     "error: strands site needs three top slots\n"),
+     "error: reference error at site strands:1,3: strands site needs three top slots\n"),
     ("bypass documents/complex.json --face F123 --site halfdisk:1", 1, "",
-     "error: halfdisk site needs the two slots of the arc\n"),
+     "error: reference error at site halfdisk:1: halfdisk site needs the two slots of "
+     "the arc\n"),
     ("bypass documents/complex.json --face F123 --site loop:1,2", 1, "",
-     "error: unknown site kind 'loop'; use strands:... or halfdisk:...\n"),
+     "error: reference error at site loop:1,2: unknown site kind 'loop'; use strands:... "
+     "or halfdisk:...\n"),
     ("bypass documents/complex.json --face F999 --site strands:1,3,6", 1, "",
      "error: reference error at face F999: no dividing set declared\n"),
     ("prune documents/theta.json", 1, "", "error: reference error at document: "
@@ -340,10 +343,17 @@ def _bad_face_document(tmp_path) -> str:
      "error: reference error at site strands:1,3,99: slot 99 is not matched\n"),
     ("bypass documents/complex.json --face F123 --site strands:1,3,x", 1, "",
      "error: reference error at site strands:1,3,x: slots must be comma-separated integers\n"),
+    ("bypass documents/complex.json --face F123 --site halfdisk:1,99", 1, "",
+     "error: reference error at site halfdisk:1,99: arc (1, 99) is not a boundary-parallel "
+     "half-disk site\n"),
+    ("bypass documents/complex.json --face F123 --site strands:1,1,1", 1, "",
+     "error: reference error at site strands:1,1,1: site strands must be three pairwise "
+     "distinct arcs\n"),
 ], ids=["weight-of-another-surface", "weight-not-integers", "undeclared-surface",
         "several-surfaces", "the-one-surface", "strands-site-of-two", "halfdisk-site-of-one",
         "unknown-site-kind", "undeclared-face", "no-ensembles", "undeclared-ensemble",
-        "oracle-bound-zero", "face-without-arcs", "unmatched-site-slot", "site-not-integers"])
+        "oracle-bound-zero", "face-without-arcs", "unmatched-site-slot", "site-not-integers",
+        "site-not-a-halfdisk", "site-strands-not-distinct"])
 def test_cli_reports_each_fault_on_its_own_path(monkeypatch, tmp_path, capsys,
                                                 args, code, out, err):
     if "EMPTY_FACE" in args:
@@ -391,11 +401,14 @@ def test_a_weight_flag_meets_the_document_weight_rule(capsys, vec):
      "                       document\n"
      "bsurf lutz plan: error: the following arguments are required: --target\n"),
     ("lutz plan documents/theta.json --surface theta --target 1,1,2 --bound 2",
-     "usage: bsurf [-h] {validate,hilbert,carry,lutz,bypass,prune} ...\n"
-     "bsurf: error: unrecognized arguments: --bound 2\n"),
+     "usage: bsurf lutz plan [-h] [--surface SURFACE] [--base BASE] --target TARGET\n"
+     "                       document\n"
+     "bsurf lutz plan: error: unrecognized arguments: --bound 2\n"),
     ("lutz enumerate documents/theta.json --surface theta --target 1,1,2",
-     "usage: bsurf [-h] {validate,hilbert,carry,lutz,bypass,prune} ...\n"
-     "bsurf: error: unrecognized arguments: --target 1,1,2\n"),
+     "usage: bsurf lutz enumerate [-h] [--surface SURFACE] [--base BASE]\n"
+     "                            [--bound BOUND]\n"
+     "                            document\n"
+     "bsurf lutz enumerate: error: unrecognized arguments: --target 1,1,2\n"),
     ("lutz enumerate documents/theta.json --surface theta --bound -1",
      "usage: bsurf lutz enumerate [-h] [--surface SURFACE] [--base BASE]\n"
      "                            [--bound BOUND]\n"
@@ -418,9 +431,14 @@ def test_a_weight_flag_meets_the_document_weight_rule(capsys, vec):
      "                            document\n"
      "bsurf lutz enumerate: error: argument --bound: expected a nonnegative integer, "
      f"got '{'9' * 5000}'\n"),
+    ("carry documents/theta.json --weight 1,1,2 --bound 2",
+     "usage: bsurf carry [-h] [--surface SURFACE] --weight WEIGHT\n"
+     "                   [--export-graph EXPORT_GRAPH]\n"
+     "                   document\n"
+     "bsurf carry: error: unrecognized arguments: --bound 2\n"),
 ], ids=["plan-without-target", "plan-with-bound", "enumerate-with-target",
         "negative-bound", "negative-oracle-bound", "fractional-oracle-bound",
-        "bound-past-the-int-digit-limit"])
+        "bound-past-the-int-digit-limit", "carry-with-bound"])
 def test_cli_flag_errors_exit_2_before_any_output(monkeypatch, capsys, args, err):
     monkeypatch.setenv("COLUMNS", "80")            # argparse wraps usage to the terminal
     monkeypatch.chdir(DOCS.parent)
@@ -840,6 +858,90 @@ def test_mutated_documents_never_escape_a_traceback(tmp_path, capsys, doc):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert LOCATED.match(err) and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# rules: a layer names each rule it checks, and loading adds only the location
+
+
+def test_a_face_named_non_planar_is_reported_under_the_rule_it_breaks():
+    raw = {"format_version": 1,
+           "faces": [{"face": "non-planar", "edge_slots": [[0, 1], [2], [3]]}],
+           "dividing_sets": [{"face": "non-planar", "arcs": [[0, 1]]}]}
+    with pytest.raises(io.DocumentError) as err:
+        io.loads(json.dumps(raw))
+    assert str(err.value) == (
+        "invariant violation at dividing_set on non-planar: dividing_set_calculus rule "
+        "slot-matching: face non-planar: every slot must be used by exactly one arc")
+
+
+def _raised(where, rule_set, build):
+    """The load error for what ``build`` raises, worded from the exception alone."""
+    try:
+        build()
+    except ValueError as exc:
+        return f"invariant violation at {where}: {rule_set} rule {exc.rule}: {exc}"
+    return None
+
+
+ANGLE_LITERALS = st.one_of(st.integers(-2, 6), st.builds(
+    "{}/{}".format, st.integers(-3, 13), st.integers(1, 4)))
+
+
+@st.composite
+def _rule_mutations(draw):
+    """The complex document with one face's slots, one dividing set's arcs or
+    one structure's angles redrawn; the error its layer's constructors raise
+    on the new values, or None; and the location that may not fail if None."""
+    raw = copy.deepcopy(SHIPPED["complex"])
+    kind = draw(st.sampled_from(["face", "dividing set", "angles"]))
+    if kind == "face":
+        f = draw(st.sampled_from(raw["faces"]))
+        f["edge_slots"] = draw(st.lists(st.lists(st.integers(0, 13), max_size=5), max_size=4))
+        where = f"face {f['face']}"
+        return raw, _raised(where, "dividing_set_calculus", lambda: dividing.FaceModel(
+            **dict(f, edge_slots=tuple(map(tuple, f["edge_slots"]))))), where
+    if kind == "dividing set":
+        d = draw(st.sampled_from(raw["dividing_sets"]))
+        f = next(f for f in raw["faces"] if f["face"] == d["face"])
+        ends = ([s for arc in d["arcs"] for s in arc] if draw(st.booleans())
+                else draw(st.permutations([s for edge in f["edge_slots"] for s in edge])))
+        if draw(st.booleans()):         # else a perfect matching, planar or not
+            ends = ends[:draw(st.integers(len(ends) - 3, len(ends)))]
+            ends += draw(st.lists(st.integers(0, 13), max_size=2))
+        d["arcs"] = [ends[i:i + 2] for i in range(0, len(ends), 2)]
+        face = dividing.FaceModel(**dict(f, edge_slots=tuple(map(tuple, f["edge_slots"]))))
+        return raw, _raised(f"dividing_set on {d['face']}", "dividing_set_calculus",
+                            lambda: dividing.DividingSet(face, tuple(map(tuple, d["arcs"])))), None
+    e = raw["ensembles"][0]
+    draw(st.sampled_from(e["structures"]))["angles"] = draw(st.one_of(
+        st.lists(ANGLE_LITERALS, min_size=1, max_size=4),
+        st.lists(st.integers(1, 13).map("{}/2".format), min_size=3, max_size=3)))
+    fd = io.loads(json.dumps(dict(raw, ensembles=[]))).domains[e["domain"]]
+    xs, err = [], None
+    for sd in e["structures"]:
+        err = err or _raised(f"structure {sd['label']}", "fibered_domain", lambda: xs.append(
+            domain.AdjustedStructure(fd, domain.make_angles(sd["angles"]), sd["label"])))
+    for x in xs[1:] if err is None else ():
+        err = err or _raised(f"ensemble {e['name']} structure {x.label}", "fibered_domain",
+                             lambda: domain.check_adjacency(xs[0], x))
+    return raw, err, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rule_mutations())
+@example(case=(SHIPPED["complex"], None, None))
+def test_loading_words_the_rule_each_constructor_raises(case):
+    raw, expected, where = case
+    try:
+        io.loads(json.dumps(raw))
+        got = None
+    except io.DocumentError as exc:
+        got = str(exc)
+    if expected is not None or where is None:
+        assert got == expected
+    else:                       # a sound face may still fail as a dividing set or tetrahedron
+        assert not got or not got.startswith(f"invariant violation at {where}:"), got
 
 
 # ---------------------------------------------------------------------------

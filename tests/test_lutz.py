@@ -111,6 +111,20 @@ def test_enumerate_structures_bounds():
     assert got == {(0, 0, 0), (1, 0, 1), (0, 1, 1), (2, 0, 2), (1, 1, 2), (0, 2, 2)}
 
 
+@pytest.mark.parametrize("call, err", [
+    (lambda infos: plan_for((1, 1), (0, 0, 0), infos), "target length 2 != generator length 3"),
+    (lambda infos: plan_for((1, 1, 2), (0, 0, 0, 0), infos),
+     "base length 4 != generator length 3"),
+    (lambda infos: list(enumerate_structures(infos, (1, 0), 1)),
+     "base length 2 != generator length 3"),
+], ids=["plan-short-target", "plan-long-base", "enumerate-short-base"])
+def test_lutz_rejects_a_vector_of_another_length(call, err):
+    b, infos = theta_generators()
+    with pytest.raises(ValueError) as exc:
+        call(infos)
+    assert str(exc.value) == err
+
+
 def test_enumerate_matches_direct_expansion():
     b, infos = theta_generators(twist=True)
     base = (1, 1, 2)

@@ -76,8 +76,8 @@ def test_slot_count_disagreement_detected(tetra):
     from bsurf.dividing import FaceModel
     broken[victim] = FaceModel(face=fm.face, edge_slots=tuple(tuple(s) for s in slots))
     problems = validate_tetrahedron(t, broken)
-    assert any(rule == "edge-slot-agreement" and "slot counts disagree" in p
-               for rule, p in problems)
+    assert any(v.rule == "edge-slot-agreement" and "slot counts disagree" in v.detail
+               for v in problems)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def cmd_validate(args, doc) -> int:
         print(f"domain {name}: pass")
     if doc.dividing_sets:
         try:
-            total = dividing.tb_triangulation(list(doc.dividing_sets.values()))
+            total = prisms.tb_aggregate(doc.dividing_sets)
             print(f"tb_triangulation: {total} over {len(doc.dividing_sets)} faces: pass")
         except dividing.InvalidFaceCertificate as exc:
             print(f"tb_triangulation: FAIL ({exc})")
@@ -181,13 +181,7 @@ def _parse_site(spec: str):
         slots = tuple(int(x) for x in rest.split(","))
     except ValueError:
         raise ValueError("slots must be comma-separated integers") from None
-    if kind == "strands":
-        if len(slots) != 3:
-            raise ValueError("strands site needs three top slots")
-        return dividing.SquareSite(top_slots=slots)
-    if len(slots) != 2:
-        raise ValueError("halfdisk site needs the two slots of the arc")
-    return dividing.HalfDiskSite(arc=slots)
+    return dividing.SquareSite(slots) if kind == "strands" else dividing.HalfDiskSite(slots)
 
 
 def cmd_bypass(args, doc) -> int:
@@ -196,9 +190,8 @@ def cmd_bypass(args, doc) -> int:
         raise io.DocumentError("reference error", f"face {args.face}",
                                "no dividing set declared")
     d = doc.dividing_sets[args.face]
-    side = dividing.Side.POSITIVE if args.side == "pos" else dividing.Side.NEGATIVE
     try:
-        result = dividing.bypass_surgery(d, _parse_site(args.site), side)
+        result = dividing.bypass_surgery(d, _parse_site(args.site), dividing.Side(args.side))
     except (ValueError, KeyError) as exc:   # a KeyError names a slot that no arc matches
         raise io.DocumentError("reference error", f"site {args.site}", exc.args[0])
     print(f"face {args.face}: {len(d.arcs)} arcs -> {len(result.arcs)} arcs")
@@ -210,7 +203,7 @@ def cmd_bypass(args, doc) -> int:
 
 
 def cmd_prune(args, doc) -> int:
-    from . import domain, io
+    from . import domain, io, surface
     if args.ensemble and args.ensemble not in doc.ensembles:
         raise io.DocumentError("reference error", f"ensemble {args.ensemble}", "not declared")
     names = [args.ensemble] if args.ensemble else sorted(doc.ensembles)
@@ -226,16 +219,11 @@ def cmd_prune(args, doc) -> int:
             return VALIDATION_FAILURE
     for name in names:
         dname, structures = doc.ensembles[name]
-        fd = doc.domains[dname]
-        if cap is not None:
-            sites = sorted(fd.boundary_sectors)
-            for x in structures:
-                for s in sites:
-                    if not x.angle[s] < cap:
-                        print(f"ensemble {name}: FAIL (structure {x.label!r} has angle "
-                              f"{x.angle[s]} on boundary sector {s}, cap {cap})")
-                        return VALIDATION_FAILURE
-        results = domain.prune_to_closed(fd, structures)
+        try:
+            results = domain.prune_to_closed(doc.domains[dname], structures, cap)
+        except surface.RuleError as exc:
+            print(f"ensemble {name}: FAIL ({exc})")
+            return VALIDATION_FAILURE
         print(f"ensemble {name} on domain {dname}: {len(results)} terminal classes")
         for i, (dom, xs) in enumerate(results):
             nsec = len(dom.quotient.sectors)
@@ -310,13 +298,21 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    # leftover arguments are reported by the chosen command's parser, under its usage line
+    # leftover arguments go under the chosen command's usage line, or the root's if one precedes it
+    argv = sys.argv[1:] if argv is None else argv
     args, extra = _parser.parse_known_args(argv)
     if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        (args.parser if argv[0] == args.command else _parser).error(
+            f"unrecognized arguments: {' '.join(extra)}")
     from . import io
     try:
-        return args.func(args, io.load(args.document))
+        code = args.func(args, io.load(args.document))
+        sys.stdout.flush()              # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:             # the reader has gone: as the Python docs advise,
+        import os                       # send the output still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return INPUT_ERROR
     except (OSError, ValueError, KeyError) as exc:    # io.DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

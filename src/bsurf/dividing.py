@@ -245,12 +245,20 @@ class SquareSite:
 
     top_slots: tuple[int, int, int]
 
+    def __post_init__(self):
+        if len(self.top_slots) != 3:
+            raise RuleError("square-site", "strands site needs three top slots")
+
 
 @dataclass(frozen=True)
 class HalfDiskSite:
     """Boundary site at a boundary-parallel arc (half-disk excision)."""
 
     arc: tuple[int, int]
+
+    def __post_init__(self):
+        if len(self.arc) != 2:
+            raise RuleError("halfdisk-site", "halfdisk site needs the two slots of the arc")
 
 
 def _site_strands(d: DividingSet, site: SquareSite):

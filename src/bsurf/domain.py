@@ -72,7 +72,7 @@ def validate_domain(fd: FiberedDomain) -> ValidationReport:
     for ann in fd.vertical_annuli:
         for a in ann.arcs:
             if not 0 <= a < narcs:
-                bad.append(Violation("dangling arc reference", f"annulus {ann.index}",
+                bad.append(Violation("annulus-arc-reference", f"annulus {ann.index}",
                                      f"arc {a} does not exist"))
                 continue
             coverage[a] = coverage.get(a, 0) + 1
@@ -94,7 +94,7 @@ def validate_domain(fd: FiberedDomain) -> ValidationReport:
                                  "vertical component"))
     for s in fd.boundary_sectors:
         if not 0 <= s < nsec:
-            bad.append(Violation("dangling sector reference", "boundary markers",
+            bad.append(Violation("boundary-sector-reference", "boundary markers",
                                  f"sector {s} does not exist"))
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
@@ -354,6 +354,16 @@ def _partition(ensemble: Sequence[AdjustedStructure], removed: Sequence[int],
     return [bucket for _, bucket in sorted(zip(_scaled(list(buckets)), buckets.values()))]
 
 
+def _below_cap(ensemble: Sequence[AdjustedStructure], sectors, cap) -> None:
+    """Every structure's angle on each of ``sectors`` must be below ``cap``."""
+    cap = Fraction(cap)
+    for x in ensemble:
+        for s in sectors:
+            if not x.angle[s] < cap:
+                raise RuleError("angle-cap", f"structure {x.label!r}: angle {x.angle[s]} "
+                                f"on sector {s} is not below the cap {cap}")
+
+
 def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
           at: Sequence[int], cap: Fraction) -> PruneResult:
     """Delete the sector closures through a boundary point with angles below cap.
@@ -365,13 +375,7 @@ def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
     if not removed:
         raise ValueError("prune requires at least one sector to remove")
     new_domain = _restrict(fd, removed)
-    cap = Fraction(cap)
-    for x in ensemble:
-        for s in removed:
-            if not x.angle[s] < cap:
-                raise ValueError(
-                    f"structure {x.label!r}: angle {x.angle[s]} on sector {s} "
-                    f"is not below the cap {cap}")
+    _below_cap(ensemble, removed, cap)
 
     removed_sorted = tuple(sorted(removed))
     keep = [s.index for s in fd.quotient.sectors if s.index not in removed]
@@ -380,20 +384,25 @@ def prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
     return PruneResult(domain=new_domain, removed_sectors=removed_sorted, classes=classes)
 
 
-def prune_to_closed(fd: FiberedDomain,
-                    ensemble: Sequence[AdjustedStructure]) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
+def prune_to_closed(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
+                    cap=None) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
     """Prune at the lowest-index boundary sector until no boundary remains.
 
     The chain of domains depends only on the domain, so it is walked once,
     one restriction per step, down to a boundaryless or empty domain.  The
     ensemble splits once, keyed by its angles on the removed sectors in
     removal order: classes in descending key order, then stably by size.
+    With a ``cap``, every angle on each removed sector must be below it, as
+    in ``prune``; sectors are checked in removal order and named by their
+    index in ``fd``.
     """
     terminal, kept, removed = fd, list(range(len(fd.quotient.sectors))), []
     while terminal.boundary_sectors and terminal.quotient.sectors:
         site = min(terminal.boundary_sectors)
         terminal = _restrict(terminal, {site})
         removed.append(kept.pop(site))
+        if cap is not None:
+            _below_cap(ensemble, removed[-1:], cap)
     if not removed:
         return [(fd, tuple(ensemble))]
     classes = [tuple(xs) for _, xs in reversed(_partition(ensemble, removed, terminal, kept))]

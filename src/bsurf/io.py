@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -157,8 +158,9 @@ def _angles(memo: dict):
 
 def _entity(make, *fields):
     """An object of fields (key, codec[, default]), built by ``make``: a callable,
-    or a ``"layer.Class"`` name that the first decode imports.  A ValueError it
-    raises is an invariant violation.  Encoding reads attributes or dict items."""
+    or a ``"layer.Class"`` name that the first decode imports.  A RuleError it
+    raises breaks a rule of the layer that defines ``make``.  Encoding reads
+    attributes or dict items."""
     fields = {f[0]: (*f[1:], ...)[:2] for f in fields}     # ... marks a required field
 
     def dec(v, where, path):
@@ -185,8 +187,9 @@ def _entity(make, *fields):
             make = getattr(__import__(f"{__package__}.{layer}", fromlist=[name]), name)
         try:
             return make(**kw)
-        except ValueError as exc:
-            raise DocumentError("invariant violation", _at(where, path), str(exc))
+        except surface.RuleError as exc:
+            raise broken_rule(_at(where, path), sys.modules[make.__module__].RULE_SET,
+                              exc.violation)
 
     def enc(obj):
         get = obj.__getitem__ if type(obj) is dict else obj.__getattribute__
@@ -243,16 +246,8 @@ _ENSEMBLE = _entity(dict, ("name", str), ("domain", str), ("structures", _STRUCT
 _VERTICAL_FACE = _entity("prisms.VerticalFace", ("face", str), ("bottom", _PAIR), ("top", _PAIR))
 _PRISM = _entity("prisms.Prism", ("kind", str, "corner:?"),
                  ("vertical_faces", _list(_VERTICAL_FACE), ()))
-
-
-def _tet_prisms(corners, diagonal, prisms):
-    """One tetrahedron of a prism configuration: its PrismSelection and its prisms."""
-    from .prisms import PrismSelection
-    return PrismSelection(corners, diagonal), prisms
-
-
 _TET_PRISMS = _entity(
-    _tet_prisms, ("corners", _list(str, make=frozenset, save=sorted), frozenset()),
+    dict, ("corners", _list(str, make=frozenset, save=sorted), frozenset()),
     ("diagonal", int, None), ("prisms", _list(_PRISM), ()))
 _PRISM_CONFIG = _entity(dict, ("name", str), ("tets", _map(_TET_PRISMS)))
 
@@ -403,11 +398,15 @@ def loads(text: str) -> ComplexDocument:
         doc.ensembles[name] = (e["domain"], tuple(structures))
 
     for name, (where, pc) in raw["prism_configurations"].items():
-        for tid in pc["tets"]:
+        selections = {}
+        for tid, t in pc["tets"].items():
             _ref(doc.tetrahedra, tid, where, "tetrahedron")
+            try:
+                selections[tid] = prisms.PrismSelection(t["corners"], t["diagonal"])
+            except surface.RuleError as exc:
+                raise broken_rule(f"{where} tets.{tid}", prisms.RULE_SET, exc.violation)
         doc.prism_configs[name] = prisms.PrismConfiguration(
-            selections={tid: sel for tid, (sel, _) in pc["tets"].items()},
-            prisms={tid: ps for tid, (_, ps) in pc["tets"].items()})
+            selections=selections, prisms={tid: t["prisms"] for tid, t in pc["tets"].items()})
 
     return doc
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dividing import DividingSet, FaceModel, PieceReport, classify_pieces, tb_triangulation
-from .surface import Violation
+from .surface import RuleError, Violation
 
 RULE_SET = "triangulation_complex"
 
@@ -48,9 +48,10 @@ class Tetrahedron:
 
     def __post_init__(self):
         if len(set(self.vertices)) != 4:
-            raise ValueError(f"tetrahedron {self.index}: four distinct vertices required")
+            raise RuleError("distinct-vertices",
+                            f"tetrahedron {self.index}: four distinct vertices required")
         if len(self.edges) != 6:
-            raise ValueError(f"tetrahedron {self.index}: six edges required")
+            raise RuleError("edge-count", f"tetrahedron {self.index}: six edges required")
 
     def faces_at(self, vertex: str) -> tuple[str, ...]:
         out = []
@@ -108,7 +109,7 @@ class PrismSelection:
 
     def __post_init__(self):
         if self.diagonal is not None and self.diagonal not in (0, 1, 2):
-            raise ValueError("diagonal prism must be 0, 1, 2 or None")
+            raise RuleError("diagonal-prism", "diagonal prism must be 0, 1, 2 or None")
 
     @property
     def size(self) -> int:

@@ -58,7 +58,7 @@ class CycleRef:
 
     def __post_init__(self):
         if self.along not in (1, -1):
-            raise ValueError("along must be +1 or -1")
+            raise RuleError("cycle-along", "along must be +1 or -1")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsurf import fixtures
+from bsurf.surface import RuleError
 from bsurf.dividing import (DividingSet, FaceModel, HalfDiskSite, InvalidFaceCertificate,
                             PieceKind, PieceRole, Side, SquareSite,
                             boundary_parallel_arcs, bypass_surgery, classify_pieces,
@@ -211,6 +212,18 @@ def test_halfdisk_site_must_be_boundary_parallel():
     d = fixtures.parallel_face(2)
     with pytest.raises(ValueError, match="boundary-parallel"):
         bypass_surgery(d, HalfDiskSite(arc=(0, 1)))
+
+
+@pytest.mark.parametrize("site, slots, rule, message", [
+    (SquareSite, (1, 3, 6, 7), "square-site", "strands site needs three top slots"),
+    (SquareSite, (1, 3), "square-site", "strands site needs three top slots"),
+    (HalfDiskSite, (1, 2, 3), "halfdisk-site", "halfdisk site needs the two slots of the arc"),
+    (HalfDiskSite, (1,), "halfdisk-site", "halfdisk site needs the two slots of the arc"),
+])
+def test_a_site_has_its_number_of_slots(site, slots, rule, message):
+    with pytest.raises(RuleError) as exc:
+        site(slots)
+    assert (exc.value.rule, str(exc.value)) == (rule, message)
 
 
 # ---------------------------------------------------------------------------

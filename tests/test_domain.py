@@ -14,8 +14,8 @@ from bsurf.domain import (AdjustedStructure, AngleFunction, FiberedDomain, Prune
                           prune_to_closed, quotient, structure_from_weight, validate_domain,
                           weight_of)
 from bsurf.hilbert import minimal_generators
-from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, Sector, Side, TriplePoint,
-                           satisfies_switch, switch_system, switch_violation)
+from bsurf.surface import (BranchArc, BranchedSurface, CycleRef, RuleError, Sector, Side,
+                           TriplePoint, satisfies_switch, switch_system, switch_violation)
 
 DOCS = Path(__file__).resolve().parent.parent / "documents"
 
@@ -192,6 +192,19 @@ def test_prune_requires_the_cap():
         prune(fd, xs, at=[0], cap=Fraction(2))
 
 
+def test_prune_to_closed_holds_the_cap_at_every_sector_it_removes():
+    doc = io.load(DOCS / "complex.json")
+    dname, xs = doc.ensembles["pipeline"]
+    fd = doc.domains[dname]
+    # sector 1 is not declared boundary: pruning sector 0 frees it, and 'once' has 7/2 there
+    assert fd.boundary_sectors == {0}
+    with pytest.raises(RuleError) as exc:
+        prune_to_closed(fd, xs, Fraction(2))
+    assert (exc.value.rule, str(exc.value)) == (
+        "angle-cap", "structure 'once': angle 7/2 on sector 1 is not below the cap 2")
+    assert prune_to_closed(fd, xs, 6) == prune_to_closed(fd, xs)
+
+
 def test_prune_strictly_decreases_sector_count():
     fd = fixtures.theta_domain(boundary=(0,))
     xs = ensemble_on(fd, [(1, 0, 1)])
@@ -339,16 +352,27 @@ def _reference_prune(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
     return PruneResult(domain=new_domain, removed_sectors=removed_sorted, classes=classes)
 
 
-def _reference_prune_to_closed(fd: FiberedDomain,
-                               ensemble: Sequence[AdjustedStructure]) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
+def _reference_prune_to_closed(fd: FiberedDomain, ensemble: Sequence[AdjustedStructure],
+                               cap=None) -> list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]]:
     """Iterate prune at boundary sectors until no boundary remains.
 
     Site choice: lowest-index boundary sector first.  The cap for each
-    step is inferred from the (finite) ensemble, every boundary point
-    having bounded angles.  The sector count strictly decreases, so at
-    most as many steps run as there are sectors; the empty domain is a
-    legal terminal state.
+    step is ``cap``, or else inferred from the (finite) ensemble, every
+    boundary point having bounded angles.  The sector count strictly
+    decreases, so at most as many steps run as there are sectors; the
+    empty domain is a legal terminal state.
+
+    A given cap first holds the whole ensemble at each sector the walk
+    removes, in removal order, by pruning ``fd`` itself at that one sector:
+    the first failing sector is named by its index in ``fd``, and the
+    first failing structure there in ensemble order.
     """
+    if cap is not None:
+        walk, kept = fd, list(range(len(fd.quotient.sectors)))
+        while walk.boundary_sectors and walk.quotient.sectors:
+            site = min(walk.boundary_sectors)
+            _reference_prune(fd, ensemble, at=[kept.pop(site)], cap=cap)
+            walk = _reference_prune(walk, (), at=[site], cap=cap).domain
     results: list[tuple[FiberedDomain, tuple[AdjustedStructure, ...]]] = []
     work = [(fd, tuple(ensemble))]
     while work:
@@ -357,11 +381,13 @@ def _reference_prune_to_closed(fd: FiberedDomain,
             results.append((domain, structures))
             continue
         site = min(domain.boundary_sectors)
-        if structures:
-            cap = max(x.angle[site] for x in structures) + 1
+        if cap is not None:
+            step_cap = cap
+        elif structures:
+            step_cap = max(x.angle[site] for x in structures) + 1
         else:
-            cap = Fraction(1)
-        res = _reference_prune(domain, structures, at=[site], cap=cap)
+            step_cap = Fraction(1)
+        res = _reference_prune(domain, structures, at=[site], cap=step_cap)
         if res.classes:
             for cls in res.classes:
                 work.append((res.domain, cls.structures))
@@ -420,6 +446,10 @@ def test_prune_matches_reference_on_random_domains(seed, size, tracks):
     cap = Fraction(rng.randrange(1, 12), rng.choice((1, 2)))
     assert _outcome(prune, fd, xs, at, cap) == _outcome(_reference_prune, fd, xs, at, cap)
 
+    cap = rng.choice([None, *sorted({a for x in xs for a in x.angle.values})])
+    assert (_outcome(prune_to_closed, fd, xs, cap)
+            == _outcome(_reference_prune_to_closed, fd, xs, cap))
+
 
 def _fixed_cases():
     three = replace(fixtures.three_sheets_domain(), boundary_sectors=frozenset({1, 2}))
@@ -447,6 +477,9 @@ def test_prune_matches_reference_on_fixed_domains(case):
     rng = random.Random(case)
     for ensemble in (xs, xs[::-1], rng.sample(xs, len(xs)), xs[:1], []):
         assert prune_to_closed(fd, ensemble) == _reference_prune_to_closed(fd, ensemble)
+        for cap in sorted({a for x in ensemble for a in x.angle.values}):
+            assert (_outcome(prune_to_closed, fd, ensemble, cap)
+                    == _outcome(_reference_prune_to_closed, fd, ensemble, cap))
         for s in range(len(fd.quotient.sectors)):
             for cap in (Fraction(3, 2), Fraction(100)):
                 assert (_outcome(prune, fd, ensemble, [s], cap)

@@ -1,8 +1,11 @@
 import copy
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -240,8 +243,15 @@ def test_cli_prune_cap_failure_is_validation_exit(capsys):
     rc = cli.main(["prune", str(DOCS / "complex.json"), "--cap", "3/2"])
     out = capsys.readouterr().out
     assert rc == 2
-    assert out == ("ensemble pipeline: FAIL (structure 'base' has angle 3/2 "
-                   "on boundary sector 0, cap 3/2)\n")
+    assert out == ("ensemble pipeline: FAIL (structure 'base': angle 3/2 on sector 0 "
+                   "is not below the cap 3/2)\n")
+
+
+def test_cli_prune_cap_holds_at_every_pruned_sector(capsys):
+    # sector 1 is not declared boundary: the first step frees it and the walk prunes it next
+    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", "2"]) == 2
+    assert capsys.readouterr() == ("ensemble pipeline: FAIL (structure 'once': angle 7/2 "
+                                   "on sector 1 is not below the cap 2)\n", "")
 
 
 @pytest.mark.parametrize("cap", ["1.5", "1e1000000", "1/0", " 3/2", "1_0", "abc", "", "a1"])
@@ -266,7 +276,7 @@ def test_cli_prune_reads_the_cap_once(monkeypatch, capsys):
 def test_cli_prune_passing_cap_prints_the_same(capsys):
     assert cli.main(["prune", str(DOCS / "complex.json")]) == 0
     plain = capsys.readouterr()
-    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", "2"]) == 0
+    assert cli.main(["prune", str(DOCS / "complex.json"), "--cap", "6"]) == 0
     assert capsys.readouterr() == plain
 
 
@@ -305,6 +315,29 @@ def _bad_face_document(tmp_path) -> str:
     path = tmp_path / "empty_face.json"
     io.save(io.ComplexDocument(faces={"E": d.face}, dividing_sets={"E": d}), path)
     return str(path)
+
+
+def test_cli_validate_names_the_first_failing_face_by_id(tmp_path, capsys):
+    # two faces without slots, declared B before A: the total reads faces in id order
+    path = tmp_path / "b_then_a.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "faces": [{"face": f, "edge_slots": [[], [], []]} for f in ("B", "A")],
+        "dividing_sets": [{"face": f, "arcs": []} for f in ("B", "A")]}), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == "tb_triangulation: FAIL (face A: tb(boundary) = 0 > -1)\n"
+
+
+def test_cli_stops_quietly_when_the_reader_closes_the_pipe():
+    # the report is far larger than a pipe buffer, so a write fails once the reader has gone
+    src = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-m", "bsurf.cli", "carry", str(DOCS / "theta.json"),
+                           "--surface", "theta", "--weight", "20000,30000,50000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"surface theta weight 20000,30000,50000:")
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
 
 
 @pytest.mark.parametrize("args, code, out, err", [
@@ -349,11 +382,17 @@ def _bad_face_document(tmp_path) -> str:
     ("bypass documents/complex.json --face F123 --site strands:1,1,1", 1, "",
      "error: reference error at site strands:1,1,1: site strands must be three pairwise "
      "distinct arcs\n"),
+    ("bypass documents/complex.json --face F123 --site strands:1,3,6,7", 1, "",
+     "error: reference error at site strands:1,3,6,7: strands site needs three top slots\n"),
+    ("bypass documents/complex.json --face F123 --site halfdisk:1,2,3", 1, "",
+     "error: reference error at site halfdisk:1,2,3: halfdisk site needs the two slots of "
+     "the arc\n"),
 ], ids=["weight-of-another-surface", "weight-not-integers", "undeclared-surface",
         "several-surfaces", "the-one-surface", "strands-site-of-two", "halfdisk-site-of-one",
         "unknown-site-kind", "undeclared-face", "no-ensembles", "undeclared-ensemble",
         "oracle-bound-zero", "face-without-arcs", "unmatched-site-slot", "site-not-integers",
-        "site-not-a-halfdisk", "site-strands-not-distinct"])
+        "site-not-a-halfdisk", "site-strands-not-distinct", "strands-site-of-four",
+        "halfdisk-site-of-three"])
 def test_cli_reports_each_fault_on_its_own_path(monkeypatch, tmp_path, capsys,
                                                 args, code, out, err):
     if "EMPTY_FACE" in args:
@@ -436,9 +475,12 @@ def test_a_weight_flag_meets_the_document_weight_rule(capsys, vec):
      "                   [--export-graph EXPORT_GRAPH]\n"
      "                   document\n"
      "bsurf carry: error: unrecognized arguments: --bound 2\n"),
+    ("--bogus validate documents/theta.json",
+     "usage: bsurf [-h] {validate,hilbert,carry,lutz,bypass,prune} ...\n"
+     "bsurf: error: unrecognized arguments: --bogus\n"),
 ], ids=["plan-without-target", "plan-with-bound", "enumerate-with-target",
         "negative-bound", "negative-oracle-bound", "fractional-oracle-bound",
-        "bound-past-the-int-digit-limit", "carry-with-bound"])
+        "bound-past-the-int-digit-limit", "carry-with-bound", "flag-before-the-command"])
 def test_cli_flag_errors_exit_2_before_any_output(monkeypatch, capsys, args, err):
     monkeypatch.setenv("COLUMNS", "80")            # argparse wraps usage to the terminal
     monkeypatch.chdir(DOCS.parent)
@@ -689,8 +731,8 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
      "invariant violation at tetrahedron G: triangulation_complex rule edge-indices: "
      "tetrahedron G: edge indices must be 0 to 5, each once"),
     ("complex", ("prism_configurations", 0, "tets", "G", "diagonal"), 5,
-     "invariant violation at prism_configuration corner tets.G: "
-     "diagonal prism must be 0, 1, 2 or None"),
+     "invariant violation at prism_configuration corner tets.G: triangulation_complex rule "
+     "diagonal-prism: diagonal prism must be 0, 1, 2 or None"),
     ("complex", ANGLES, [1, 1, True],
      "parse error at ensemble pipeline structures[0].angles[2]: expected str or int, got true"),
     ("complex", ANGLES, [1, 1.0, 1],
@@ -719,10 +761,10 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
      "cycle-closed-arc: a closed arc must form a whole boundary cycle"),
     ("complex", ("fibered_domains", 0, "vertical_annuli", 0, "arcs"), [9],
      "invariant violation at fibered_domain theta-domain (annulus 0): fibered_domain rule "
-     "dangling arc reference: arc 9 does not exist"),
+     "annulus-arc-reference: arc 9 does not exist"),
     ("complex", ("fibered_domains", 0, "boundary_sectors"), [9],
      "invariant violation at fibered_domain theta-domain (boundary markers): fibered_domain "
-     "rule dangling sector reference: sector 9 does not exist"),
+     "rule boundary-sector-reference: sector 9 does not exist"),
     ("theta", ("weights", 0, "entries"), [1, 1, 1],
      f"invariant violation at weight both: {CORE} switch-equations: "
      "entries violate a switch equation"),
@@ -756,6 +798,15 @@ ANGLES = ("ensembles", 0, "structures", 0, "angles")
     ("complex", ("tetrahedra", 0, "edges", 0, "faces"), ["F124", "F124"],
      "invariant violation at tetrahedron G: triangulation_complex rule distinct-faces: "
      "tetrahedron G edge 0: needs two distinct faces"),
+    ("theta", SURFACE + ("sectors", 0, "boundary_cycles", 0, 0, "along"), 2,
+     f"invariant violation at branched_surface theta sectors[0].boundary_cycles[0][0]: {CORE} "
+     "cycle-along: along must be +1 or -1"),
+    ("complex", ("tetrahedra", 0, "vertices", 3), "s1",
+     "invariant violation at tetrahedron G: triangulation_complex rule distinct-vertices: "
+     "tetrahedron G: four distinct vertices required"),
+    ("complex", ("tetrahedra", 0, "edges"), "shorten",
+     "invariant violation at tetrahedron G: triangulation_complex rule edge-count: "
+     "tetrahedron G: six edges required"),
 ])
 def test_malformed_document_is_one_located_error(tmp_path, capsys, name, path, change, err):
     doc = copy.deepcopy(SHIPPED[name])

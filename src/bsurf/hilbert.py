@@ -401,13 +401,24 @@ class NotGeneratedError(ValueError):
 def n_combination(w: Sequence[int], atoms: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """Nonnegative integer counts of the atoms summing to w, or None.
 
-    Depth-first over the atoms in sorted order, each level trying its count
-    from the most that fits down to zero, so the first path is the greedy
-    one and the first hit the lexicographically greatest solution.  For w
-    in the cone of a complete Hilbert basis greedy never fails: each
-    remainder stays in the cone, so dominates a basis element unless zero,
-    and subtracting never makes an earlier atom fit again.
+    w and the atoms must have nonnegative entries; a negative entry
+    raises ValueError.  Depth-first over the atoms in sorted order, each
+    level trying its count from the most that fits down to zero, so the
+    first path is the greedy one and the first hit the lexicographically
+    greatest solution.  For w in the cone of a complete Hilbert basis
+    greedy never fails: each remainder stays in the cone, so dominates a
+    basis element unless zero, and subtracting never makes an earlier
+    atom fit again.
+
+    A miss backtracks from the last level but one.  The last atom has
+    taken as many copies as fit, which leaves a remainder that is
+    nonnegative wherever the atom is positive; fewer copies add a
+    nonnegative multiple of the atom to it, so they leave a nonzero
+    remainder too.  So a failing search costs the product of the counts
+    of all levels but the last, linear in w for two atoms.
     """
+    if any(x < 0 for u in (w, *atoms) for x in u):
+        raise ValueError("n_combination expects nonnegative entries")
     order = sorted(range(len(atoms)), key=lambda i: atoms[i])
     n = len(order)
     counts = [0] * n
@@ -419,7 +430,7 @@ def n_combination(w: Sequence[int], atoms: Sequence[Sequence[int]]) -> Optional[
         elif not any(rems[n]):
             return tuple(c for _, c in sorted(zip(order, counts)))
         else:
-            k = n - 1
+            k = n - 2
             while k >= 0 and counts[k] == 0:
                 k -= 1
             if k < 0:

@@ -11,15 +11,17 @@ equation at every branch arc: the single-sheet side carries the sum of
 the two merging stacks.  A weight vector determines a carried surface:
 ``w[i]`` parallel copies of sector ``i``, glued stack-to-stack along
 branch arcs.  ``carried_surface`` reads its components, Euler
-characteristics and orientability off one pass over the arcs, with
-union-finds on integer face and corner ids, without building the cells.
-Each arc glues two runs of sheet copies, the upper and the lower stack
-against the merged one, so the pass steps through ranges of ids and
-fixes a run's flip and corner offsets once, not once per copy.  The
-components come back as maximal runs of consecutive components of one
-type, so a surface of many alike components, such as the parallel tori
-of a large weight, costs one tuple per run rather than one object per
-component.  ``carried_adjacency_graph`` cuts each sector's copies at the
+characteristics and orientability off two passes over the arcs, one for
+the corners and one for the faces, with union-finds on integer corner
+and face ids, without building the cells.  Each arc glues two runs of
+sheet copies, the upper and the lower stack against the merged one, so
+a pass steps through ranges of ids and fixes a run's flip and corner
+offsets once, not once per copy, and the face pass glues a run that
+another arc repeats only once.  The components come back as maximal
+runs of consecutive components of one type, so a surface of many alike
+components, such as the parallel tori of a large weight, costs one
+tuple per run rather than one object per component.
+``carried_adjacency_graph`` cuts each sector's copies at the
 same runs: between two cuts every copy has the same neighbour columns,
 slices of the name lists, so the export's lines are joined from slices.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Optional, Sequence
 
 RULE_SET = "branched_surface_core"
@@ -403,25 +406,39 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
     consecutive edges; corner j of face (s, c) is ``coff[s] + c *
     ncorner[s] + j``, so the edges of a cycle share corners with no union.
 
-    One pass over the branch arcs glues each arc's two runs (``_runs``):
-    a run zips the range of merged face ids with the range of the other
-    sector's face ids, ascending or, where the continuation is reversed,
-    descending, and likewise the corner bases of both, so the flip and
-    the corner offsets are fixed once per run.  Faces join in a
-    union-find with parity: ``parity[f]`` is the co-orientation flip from
-    f to ``parent[f]``, so a gluing whose flip disagrees with the
-    parities of two faces already joined makes their component
-    non-orientable, as a non-orientable sector does.  Along an arc with
-    endpoints, the corners at both ends join in a second union-find.  A
-    root has parity 0, so a node that is a root or hangs directly under
-    one is read off in place; ``_find`` walks the longer paths.
+    Each arc glues two runs of sheet copies (``_runs``): a run pairs the
+    range of merged face ids with the range of the other sector's face
+    ids, ascending or, where the continuation is reversed, descending, so
+    its flip and corner offsets are fixed once per run.
+
+    Corners go first, in a pass of their own over the runs of the arcs
+    with endpoints: the corners at both ends of each glued pair join in
+    a union-find, and each merge that joins two classes is charged to
+    the merged face, which is still its own root then.  The corner
+    arrays are dropped before the face arrays are made.
+
+    Faces then join in a union-find with parity: ``parity[f]`` is the
+    co-orientation flip from f to ``parent[f]``, so a gluing whose flip
+    disagrees with the parities of two faces already joined makes their
+    component non-orientable, as a non-orientable sector does.  A run is
+    keyed by (merged sector, other sector, merged start, count,
+    reversed), and a run with a key already glued is skipped: it pairs
+    the same faces with the same flip, and after the first gluing each
+    such pair is in one component at relative parity equal to the flip,
+    or that component is already non-orientable, so a repeat would link
+    nothing, move no chi and set no flag.  Along theta's second circle
+    both runs repeat, and so do the face runs of the second arc of the
+    three-sheet model and of the wedges.  A root has parity 0, so a node
+    that is a root or hangs directly under one is read off in place;
+    ``_find`` walks the longer paths.
 
     chi is charged per face: chi of its sector plus its corners, minus
     one per arc with endpoints that the sector merges along (each merged
     copy is glued once there), minus one per corner merge.  A root holds
-    the sum of its component's charges.  Components are numbered in root
-    order, and one scan over the roots cuts them into maximal runs of
-    equal (chi, orientable).
+    the sum of its component's charges.  ``roots`` flags the faces not
+    yet linked under another; components are numbered in root order, and
+    one scan over the flagged roots cuts them into maximal runs of equal
+    (chi, orientable).
     """
     weights = tuple(int(w) for w in weights)
     if (v := weight_fault(b, weights)) is not None:
@@ -455,21 +472,40 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
         chi += [sec.euler_char + n - segments[sec.index]] * w
         bad += [not sec.orientable] * w
 
-    parent, parity = list(range(len(chi))), [0] * len(chi)
-    cparent, cparity = list(range(nc)), [0] * nc
+    cparent, cparity = list(range(nc)), bytearray(nc)    # corners carry no flip
+    for arc in b.branch_arcs:
+        if arc.is_closed:
+            continue
+        m = arc.merged_sector
+        cm0, cm1 = ends[arc.index, Side.MERGED]
+        for o, side, start, count, flip in _runs(arc, weights):
+            co0, co1 = ends[arc.index, side]
+            xs = range(off[m] + start, off[m] + start + count)
+            cxs = _ids(coff[m] + start * ncorner[m], count, ncorner[m], False)
+            cys = _ids(coff[o], count, ncorner[o], flip)
+            for x, cx, cy in zip(xs, cxs, cys):
+                for ca, cb in ((cx + cm0, cy + co0), (cx + cm1, cy + co1)):
+                    ra, rb = cparent[ca], cparent[cb]
+                    if cparent[ra] != ra:
+                        ra = _find(cparent, cparity, ca)[0]
+                    if cparent[rb] != rb:
+                        rb = _find(cparent, cparity, cb)[0]
+                    if ra != rb:
+                        cparent[rb] = ra
+                        chi[x] -= 1
+    del cparent, cparity
+
+    nf = len(chi)
+    parent, parity, roots = list(range(nf)), [0] * nf, bytearray(b"\1") * nf
+    glued = set()
     for arc in b.branch_arcs:
         m = arc.merged_sector
-        segment = not arc.is_closed
-        for o, side, start, count, flip in _runs(arc, weights):
+        for o, _side, start, count, flip in _runs(arc, weights):
+            if (key := (m, o, start, count, flip)) in glued:
+                continue
+            glued.add(key)
             xs = range(off[m] + start, off[m] + start + count)
-            ys = _ids(off[o], count, 1, flip)
-            if segment:
-                (cm0, cm1), (co0, co1) = ends[arc.index, Side.MERGED], ends[arc.index, side]
-                cxs = _ids(coff[m] + start * ncorner[m], count, ncorner[m], False)
-                cys = _ids(coff[o], count, ncorner[o], flip)
-            else:
-                cxs, cys = xs, ys    # no corners: zipped, never read
-            for x, y, cx, cy in zip(xs, ys, cxs, cys):
+            for x, y in zip(xs, _ids(off[o], count, 1, flip)):
                 rx, px = parent[x], parity[x]
                 if parent[rx] != rx:
                     rx, px = _find(parent, parity, x)
@@ -479,32 +515,22 @@ def carried_surface(b: BranchedSurface, weights: Sequence[int]) -> CarriedSurfac
                 if rx != ry:
                     parent[ry] = rx
                     parity[ry] = px ^ py ^ flip
+                    roots[ry] = 0
                     chi[rx] += chi[ry]
                     if bad[ry]:
                         bad[rx] = True
                 elif px ^ py != flip:
                     bad[rx] = True
-                if segment:
-                    for ca, cb in ((cx + cm0, cy + co0), (cx + cm1, cy + co1)):
-                        ra, rb = cparent[ca], cparent[cb]
-                        if cparent[ra] != ra:
-                            ra = _find(cparent, cparity, ca)[0]
-                        if cparent[rb] != rb:
-                            rb = _find(cparent, cparity, cb)[0]
-                        if ra != rb:
-                            cparent[rb] = ra
-                            chi[rx] -= 1
 
     runs = []
     count = last_chi = last_bad = None
-    for f, r in enumerate(parent):
-        if f == r:
-            if chi[f] == last_chi and bad[f] == last_bad:
-                count += 1
-                continue
-            if count:
-                runs.append((count, last_chi, not last_bad, classify(last_chi, not last_bad)))
-            count, last_chi, last_bad = 1, chi[f], bad[f]
+    for f in compress(range(nf), roots):
+        if chi[f] == last_chi and bad[f] == last_bad:
+            count += 1
+            continue
+        if count:
+            runs.append((count, last_chi, not last_bad, classify(last_chi, not last_bad)))
+        count, last_chi, last_bad = 1, chi[f], bad[f]
     runs.append((count, last_chi, not last_bad, classify(last_chi, not last_bad)))
     return CarriedSurface(source=b, weight=weights, runs=tuple(runs))
 
@@ -541,6 +567,17 @@ def adjacency_graph(b: BranchedSurface) -> list[tuple[str, list[str]]]:
     return out
 
 
+def _merged_columns(taken: list[list[str]]) -> list[str]:
+    """Distinct neighbour columns into one sector merged row by row, each
+    row's distinct names in byte order: two columns by one comparison per
+    row, three or more by a sort."""
+    if len(taken) == 1:
+        return taken[0]
+    if len(taken) == 2:
+        return [a if a == b else f"{a} {b}" if a < b else f"{b} {a}" for a, b in zip(*taken)]
+    return [" ".join(sorted(set(row))) for row in zip(*taken)]
+
+
 def carried_adjacency_graph(s: CarriedSurface) -> list[str]:
     """The sheet copies of a carried surface as graph lines ``s{i}c{c} nbr
     nbr ...``: one line per copy, its distinct neighbours in byte order,
@@ -555,7 +592,7 @@ def carried_adjacency_graph(s: CarriedSurface) -> list[str]:
     before the copy number, so the columns go in the byte order of their
     target's prefix ``s{o}c``.  A column equal to one already taken for
     its target is dropped, and only distinct columns into one sector are
-    merged copy by copy.  A space sorts below every digit, so one sort of
+    merged copy by copy (``_merged_columns``).  A space sorts below every digit, so one sort of
     the whole lines puts them in the byte order of their node names.
     """
     weights = s.weight
@@ -581,9 +618,7 @@ def carried_adjacency_graph(s: CarriedSurface) -> list[str]:
                     col = col[lo - a:hi - a]
                     if col not in taken:
                         taken.append(col)
-            cols = [taken[0] if len(taken) == 1 else
-                    [" ".join(sorted(set(row))) for row in zip(*taken)]
-                    for _, taken in sorted(columns.items())]
+            cols = [_merged_columns(taken) for _, taken in sorted(columns.items())]
             lines += map(" ".join, zip(own[lo:hi], *cols))
     lines.sort()
     return lines

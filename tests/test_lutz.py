@@ -179,6 +179,71 @@ def _brute_force_cover(delta, atoms):
     return max(solutions, key=lambda c: [c[i] for i in order], default=None)
 
 
+def _reference_n_combination(w, atoms):
+    """The full backtracking search: a miss steps down the count of every
+    level in turn, the last level included."""
+    order = sorted(range(len(atoms)), key=lambda i: atoms[i])
+    n = len(order)
+    counts = [0] * n
+    rems = [tuple(w)] + [()] * n
+    k = 0
+    while True:
+        if k < n:
+            counts[k] = min((r // x for r, x in zip(rems[k], atoms[order[k]]) if x), default=0)
+        elif not any(rems[n]):
+            return tuple(c for _, c in sorted(zip(order, counts)))
+        else:
+            k = n - 1
+            while k >= 0 and counts[k] == 0:
+                k -= 1
+            if k < 0:
+                return None
+            counts[k] -= 1
+        rems[k + 1] = tuple(r - counts[k] * x for r, x in zip(rems[k], atoms[order[k]]))
+        k += 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_n_combination_matches_the_full_backtracking_search(data):
+    # a combination of the atoms is feasible; one entry more, or a free
+    # draw, is mostly not, and then both searches run to the end
+    d = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    atoms = [tuple(u) for u in data.draw(st.lists(vectors, max_size=5))]
+    kind = data.draw(st.sampled_from(["combination", "near-miss", "free"]))
+    if kind == "free":
+        w = data.draw(vectors)
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+        w = [sum(c * u[i] for c, u in zip(coeffs, atoms)) for i in range(d)]
+        if kind == "near-miss":
+            w[data.draw(st.integers(0, d - 1))] += 1
+    w = tuple(w)
+    got = n_combination(w, atoms)
+    assert got == _reference_n_combination(w, atoms), (w, atoms)
+    if kind == "combination":
+        assert got is not None
+
+
+@pytest.mark.parametrize("w, atoms", [((1, 1), [(1, 0), (2, -1)]), ((-2, 1), [(1, 0), (0, 1)])],
+                         ids=["atom", "target"])
+def test_n_combination_rejects_a_negative_entry(w, atoms):
+    # unchecked, the negative target would come back as the counts (-2, 1)
+    with pytest.raises(ValueError, match="nonnegative entries"):
+        n_combination(w, atoms)
+
+
+def test_a_plan_that_must_fail_is_rejected_in_linear_time():
+    # an odd Klein multiple on twisted theta: every count of the torus atom
+    # leaves an odd first entry for the doubled Klein atom
+    b, infos = theta_generators(twist=True)
+    n = 10_000
+    with pytest.raises(RebaseRequired):
+        plan_for((n + 1, n, 2 * n + 1), (0, 0, 0), infos)
+    assert n_combination((n + 1, n, 2 * n + 1), [(0, 1, 1), (2, 0, 2)]) is None
+
+
 def test_exact_cover_backtracks_from_the_greedy_count():
     # the greedy count of the smaller atom leaves a remainder, so it is lowered
     assert n_combination((3,), [(2,), (3,)]) == (0, 1)

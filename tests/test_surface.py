@@ -789,6 +789,47 @@ def test_carried_surface_matches_reference_on_large_wedges(make):
     assert s.weight == w
 
 
+def _reversed(surf: BranchedSurface, *flags: tuple[bool, bool]) -> BranchedSurface:
+    """The surface with arc i's (reversed_upper, reversed_lower) set to flags[i]."""
+    return dataclasses.replace(surf, branch_arcs=tuple(
+        dataclasses.replace(arc, reversed_upper=u, reversed_lower=lo)
+        for arc, (u, lo) in zip(surf.branch_arcs, flags)))
+
+
+@pytest.mark.parametrize("a", [3_001, 3_000], ids=["odd", "even"])
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)),
+                         ids=lambda f: "".join("r" if x else "-" for x in f))
+def test_carried_theta_matches_reference_with_every_reversal(flags, a):
+    # arc 1 repeats arc 0's runs where their reversals agree; an odd upper
+    # weight against a reversed upper continuation puts a Klein bottle
+    # mid-numbering
+    surf = _reversed(fixtures.theta_surface(), flags[:2], flags[2:])
+    w = (a, 10_000 - a, 10_000)
+    assert sum(w) == 2 * 10 ** 4
+    comps = carried_surface(surf, w).components
+    assert comps == _reference_carried_surface(surf, w)
+    if a % 2 and flags[0] != flags[2]:
+        assert any(not c.orientable for c in comps[1:-1])
+
+
+@pytest.mark.parametrize("a", [3_001, 3_000], ids=["odd", "even"])
+@pytest.mark.parametrize("flip", [(True, False), (False, True)], ids=["upper", "lower"])
+@pytest.mark.parametrize("surf", [fixtures.three_sheets_surface(),
+                                  fixtures.random_wedge_surface(random.Random(4)),
+                                  fixtures.random_two_vertex_surface(random.Random(5))],
+                         ids=lambda b: b.name)
+def test_carried_wedges_match_reference_with_one_arc_reversed(surf, flip, a):
+    # arc 1's face runs repeat arc 0's except the reversed one, while the
+    # corners of both arcs are merged copy by copy
+    surf = _reversed(surf, (False, False), flip)
+    w = combine(((1, 1, 0), (1, 0, 1)), (a, 10_000 - a))
+    assert sum(w) == 2 * 10 ** 4
+    comps = carried_surface(surf, w).components
+    assert comps == _reference_carried_surface(surf, w)
+    if a % 2 and flip[0]:
+        assert any(not c.orientable for c in comps[1:-1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_carried_adjacency_graph_matches_reference(data):
